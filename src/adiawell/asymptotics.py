@@ -30,13 +30,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
+from ._panels import gl_panels
 from .errors import ContinuationFailure
 from .special import a_fn, f_transition, zeta_fn
 from .spectrum import (
     ModelParams,
+    _tilde_slope,
     c_n_phase,
     dlnpn_dtau,
     int_e_n,
@@ -72,9 +75,6 @@ _G0_SPLIT = 20.0
 _G0_PANEL_U = 0.5
 # averaging depth for the alternating k^(-3/2) series defining f_0
 _EULER_TERMS = 60
-
-_GL12 = np.polynomial.legendre.leggauss(12)
-_GL16 = np.polynomial.legendre.leggauss(16)
 
 
 class RegimeLabel(Enum):
@@ -149,24 +149,16 @@ def adiabatic_leading(params: ModelParams, x, t: float):
     return complex(out) if np.ndim(x) == 0 else out
 
 
-def _tilde_slope_xi(p: complex, tau: float, xi: float) -> complex:
-    root = np.sqrt(1.0 - p * p)
-    return (1.0 - tau) + 1.0 / root - 0.5j * xi / root**3
-
-
-def _decay_integral(n: int, tau: float, xi: float, tol: float) -> complex:
+def _decay_integral(n: int, tau: float, xi: float) -> complex:
     """int_0^xi sqrt(1 - p~_n(tau, xi')^2) dxi' on the Re-positive branch."""
     if xi == 0.0:
         return 0.0 + 0.0j
-    nodes, weights = _GL12
     n_panels = max(1, int(np.ceil(xi / _XI_PANEL)))
-    edges = np.linspace(0.0, xi, n_panels + 1)
+    nodes, weights = gl_panels(np.linspace(0.0, xi, n_panels + 1), 12)
     total = 0.0 + 0.0j
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        for u, w in zip(nodes, weights):
-            pt = p_n_tilde(n, tau, mid + half * u, tol)
-            total += half * w * np.sqrt(1.0 - pt * pt)
+    for u, w in zip(nodes.ravel(), weights.ravel()):
+        pt = p_n_tilde(n, tau, u)
+        total += w * np.sqrt(1.0 - pt * pt)
     return total
 
 
@@ -190,9 +182,9 @@ def outside_leading(params: ModelParams, x, t: float):
             raise ContinuationFailure(
                 f"x = {xv} lies inside the well edge 1 - tau = {1.0 - tau}"
             )
-        pt = p_n_tilde(n, tau, xi, params.tol)
-        dln = 1.0 / _tilde_slope_xi(pt, tau, xi)
-        damp = _decay_integral(n, tau, xi, params.tol)
+        pt = p_n_tilde(n, tau, xi)
+        dln = 1.0 / _tilde_slope(pt, tau, xi)
+        damp = _decay_integral(n, tau, xi)
         out[i] = (
             phase
             * np.sqrt(dln)
@@ -243,9 +235,7 @@ def transition_leading(params: ModelParams, x, t: float):
 # past the threshold
 # =====================================================================
 
-_F0_CACHE: float | None = None
-
-
+@lru_cache(maxsize=1)
 def _alternating_head() -> float:
     """sum_{k>=1} (-1)^(k+1) k^(-3/2) by iterated averaging of partial sums."""
     k = np.arange(1, _EULER_TERMS + 1, dtype=float)
@@ -257,12 +247,9 @@ def _alternating_head() -> float:
 
 def resonance_weights(n: int) -> np.ndarray:
     """Weights f_0..f_{n-1}: f_k = (-1)^k k^(-3/2), f_0 = -sum_{k>=1} f_k."""
-    global _F0_CACHE
-    if _F0_CACHE is None:
-        _F0_CACHE = _alternating_head()
     ks = np.arange(n, dtype=float)
     out = np.empty(n, dtype=float)
-    out[0] = _F0_CACHE
+    out[0] = _alternating_head()
     if n > 1:
         out[1:] = (-1.0) ** ks[1:] * ks[1:] ** -1.5
     return out
@@ -278,17 +265,12 @@ def _background_integral(gap: float) -> float:
     """
     u_top = np.sqrt(_G0_SPLIT / gap)
     n_panels = max(4, int(np.ceil(u_top / _G0_PANEL_U)))
-    nodes, weights = _GL16
-    edges = np.linspace(0.0, u_top, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    us = (mid + half * nodes[None, :]).ravel()
+    nodes, weights = gl_panels(np.linspace(0.0, u_top, n_panels + 1), 16)
+    us = nodes.ravel()
     s = us * us
     bracket = np.exp(0.25j * np.pi) * zeta_fn(1j * s) + 2.0 * us
     vals = np.exp(-2.0 * s * gap) * bracket * 2.0 * us
-    return float(
-        np.sum((half * weights[None, :]).ravel() * vals.real)
-    )
+    return float(np.sum(weights.ravel() * vals.real))
 
 
 def aftermath_terms(params: ModelParams, x, t: float) -> AftermathTerms:

@@ -18,8 +18,7 @@ contours run along the upper edge of [1, inf).  Floating point cannot
 represent "1.7 approached from above" reliably (signed zeros get lost in
 arithmetic), so boundary evaluation is explicit: every function takes an
 optional ``side`` tag (+1 upper edge, -1 lower edge) that is consulted only
-where the argument sits exactly on a cut, and the scalar wrapper type
-``CxPoint`` carries the same information in its ``sheet`` field.
+where the argument sits exactly on a cut.
 
 Approach
 --------
@@ -49,17 +48,11 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-from typing import Union
-
 import numpy as np
 
 from .errors import BranchViolation, PoleAt
 
 __all__ = [
-    "Sheet",
-    "CxPoint",
     "q0",
     "l0",
     "l0_prime",
@@ -72,71 +65,14 @@ __all__ = [
 _TWO_PI = 2.0 * np.pi
 
 
-class Sheet(Enum):
-    """Which determination a CxPoint refers to.
-
-    C0 / C1 tag interior points of the respective slit planes; the two
-    Real*I0 values tag points exactly on the real axis together with the
-    side from which they are approached.
-    """
-
-    C0 = "c0"
-    C1 = "c1"
-    REAL_PLUS_I0 = "real+i0"
-    REAL_MINUS_I0 = "real-i0"
-
-
-@dataclass(frozen=True)
-class CxPoint:
-    """A complex momentum with explicit branch bookkeeping.
-
-    Parameters
-    ----------
-    re, im : float
-        Cartesian coordinates of the point.
-    sheet : Sheet
-        For points on the real axis use REAL_PLUS_I0 / REAL_MINUS_I0 to select
-        the edge; off-axis points use C0 (default) or C1.
-    """
-
-    re: float
-    im: float = 0.0
-    sheet: Sheet = Sheet.C0
-
-    def __post_init__(self) -> None:
-        if self.sheet in (Sheet.REAL_PLUS_I0, Sheet.REAL_MINUS_I0) and self.im != 0.0:
-            raise BranchViolation(
-                f"edge-tagged point must have im == 0, got im = {self.im!r}"
-            )
-
-    @property
-    def z(self) -> complex:
-        return complex(self.re, self.im)
-
-    @property
-    def side(self) -> int:
-        if self.sheet is Sheet.REAL_PLUS_I0:
-            return 1
-        if self.sheet is Sheet.REAL_MINUS_I0:
-            return -1
-        return 0
-
-
-PointLike = Union[CxPoint, complex, float]
-
-
 # =====================================================================
 # argument normalization
 # =====================================================================
 
 
-def _as_z_side(p: PointLike, side):
+def _as_z_side(p, side):
     """Return (z, side, scalar) with z complex array, side int array."""
-    if isinstance(p, CxPoint):
-        return np.asarray(p.z, dtype=complex), np.asarray(p.side), True
-    z = np.asarray(p, dtype=complex)
-    scalar = np.ndim(p) == 0
-    return z, np.asarray(side), scalar
+    return np.asarray(p, dtype=complex), np.asarray(side), np.ndim(p) == 0
 
 
 def _need_side(mask: np.ndarray, side: np.ndarray, what: str) -> None:
@@ -144,7 +80,7 @@ def _need_side(mask: np.ndarray, side: np.ndarray, what: str) -> None:
     if np.any(untagged):
         raise BranchViolation(
             f"{what} evaluated on its cut without a side tag; "
-            "pass side=+1/-1 or use an edge-tagged CxPoint"
+            "pass side=+1/-1"
         )
 
 
@@ -191,7 +127,7 @@ def _l1_raw(z: np.ndarray, side) -> np.ndarray:
 # =====================================================================
 
 
-def q0(p: PointLike, side=0):
+def q0(p, side=0):
     """Square root of p**2 - 1 on the slit plane C0, fixed by q0(0) = +i.
 
     Even in p; equals i*sqrt(1 - p**2) off the cuts, takes positive values on
@@ -203,7 +139,7 @@ def q0(p: PointLike, side=0):
     return complex(out) if scalar else out
 
 
-def l0(p: PointLike, side=0):
+def l0(p, side=0):
     """The branch of 2*arcsin(p) on C0 with l0(0) = 0.
 
     Odd, conjugate symmetric, real on [-1, 1]; on the upper edge of (1, inf)
@@ -215,7 +151,7 @@ def l0(p: PointLike, side=0):
     return complex(out) if scalar else out
 
 
-def l0_prime(p: PointLike, side=0):
+def l0_prime(p, side=0):
     """Derivative of l0, equal to 2i/q0(p).  Raises PoleAt at p = +-1."""
     z, side, scalar = _as_z_side(p, side)
     if np.any((z.imag == 0.0) & (np.abs(z.real) == 1.0)):
@@ -225,7 +161,7 @@ def l0_prime(p: PointLike, side=0):
     return complex(out) if scalar else out
 
 
-def int_l0(p: PointLike, side=0):
+def int_l0(p, side=0):
     """Antiderivative of l0 along paths in C0, normalized to int_l0(0) = 0.
 
     Closed form p*l0(p) - 2i*q0(p) - 2; in particular int_l0(1) = pi - 2.
@@ -236,7 +172,7 @@ def int_l0(p: PointLike, side=0):
     return complex(out) if scalar else out
 
 
-def rho0(p: PointLike, side=0):
+def rho0(p, side=0):
     """Reflection ratio (q0 - p)/(q0 + p), computed in pole-proof form.
 
     Since (q0 - p)(q0 + p) = -1 identically, the ratio equals -(q0 - p)**2,
@@ -250,7 +186,7 @@ def rho0(p: PointLike, side=0):
     return complex(out) if scalar else out
 
 
-def l1(p: PointLike, side=0):
+def l1(p, side=0):
     """Continuation of l0 from Im p > 0 across (1, inf), single valued on C1.
 
     Equals l0 for Im p >= 0 and 2*pi - l0 for Im p < 0; continuous on the ray
@@ -263,7 +199,7 @@ def l1(p: PointLike, side=0):
     return complex(out) if scalar else out
 
 
-def l1_prime(p: PointLike, side=0):
+def l1_prime(p, side=0):
     """Derivative of l1: 2i/q0 above the axis, -2i/q0 below.
 
     On the ray (1, inf) both give 2i/sqrt(x**2 - 1).  Raises PoleAt at p = 1.

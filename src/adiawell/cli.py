@@ -12,8 +12,9 @@ numerics fail (no eigenvalue, continuation off its sheet, a quadrature or
 linear solve giving up).
 
 A ``--json-config FILE`` holding ``{"format_version": 1, "<flag>": value}``
-can replace flags; explicit flags win over config values.  The worker pool
-used for sweeps is capped by the ``ADIA_THREADS`` environment variable.
+can replace flags; explicit flags win over config values.  Either way eps
+must lie in (0, 1) and eps*t may not exceed 1.  The worker pool used for
+sweeps is capped by the ``ADIA_THREADS`` environment variable.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from . import asymptotics, branches, oracle, special, spectrum, symbolfield, wav
 from .errors import AdiawellError
 from .spectrum import ModelParams
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["run", "main"]
 
 FORMAT_VERSION = 1
 
@@ -53,52 +53,24 @@ class _Invalid(ValueError):
 # config (bool is unused; enums travel as strings)
 _SCHEMA: dict[str, dict[str, type]] = {
     "special": {"fn": str, "z": str, "eps": float, "deriv": int, "side": int},
-    "eigen": {"n": int, "tau": float, "tol": float},
+    "eigen": {"n": int, "tau": float},
     "field": {
         "eps": float, "n": int, "t": float, "x_min": float, "x_max": float,
-        "x_steps": int, "method": str, "tol": float,
+        "x_steps": int, "method": str,
     },
     "compare": {
         "eps": float, "n": int, "t": float, "x_steps": int,
-        "delta_reg": float, "tol": float,
+        "delta_reg": float,
     },
     "sweep": {
         "eps": str, "n": int, "tau": float, "check": str, "x": float,
-        "xi": float, "tol": float,
+        "xi": float,
     },
     "oracle": {
         "eps": float, "n": int, "t0": float, "t1": float, "x_max": float,
         "nx": int, "dt": float, "snap": str,
     },
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One validated invocation: subcommand, parameters, output path."""
-
-    subcommand: str
-    params: dict = field(default_factory=dict)
-    out: str | None = None
-    format_version: int = FORMAT_VERSION
-
-    def __post_init__(self):
-        if self.format_version != FORMAT_VERSION:
-            raise _Invalid(
-                f"unsupported format_version {self.format_version!r}; "
-                f"this build writes version {FORMAT_VERSION}"
-            )
-        eps = self.params.get("eps")
-        for value in np.atleast_1d(eps if eps is not None else []):
-            if not 0.0 < value < 1.0:
-                raise _Invalid(f"eps must lie in (0, 1), got {value}")
-        tol = self.params.get("tol")
-        if tol is not None and tol < 0.0:
-            raise _Invalid(f"tolerance must be nonnegative, got {tol}")
-        for key in ("tau", "tau_final"):
-            tau = self.params.get(key)
-            if tau is not None and tau > 1.0:
-                raise _Invalid(f"eps*t must stay <= 1, got {key}={tau}")
 
 
 def _load_json_config(path: str, sub: str) -> dict:
@@ -153,9 +125,14 @@ def _require(args: argparse.Namespace, *names: str) -> None:
             raise _Invalid(f"{flag} is required (flag or config)")
 
 
-def _validate(sub: str, **params) -> None:
-    """Run the RunConfig invariants for this invocation."""
-    RunConfig(sub, params)
+def _validate(eps=None, **taus) -> None:
+    """Check eps (a value or an array) lies in (0, 1) and every given tau <= 1."""
+    for value in np.atleast_1d(eps if eps is not None else []):
+        if not 0.0 < value < 1.0:
+            raise _Invalid(f"eps must lie in (0, 1), got {value}")
+    for key, tau in taus.items():
+        if tau is not None and tau > 1.0:
+            raise _Invalid(f"eps*t must stay <= 1, got {key}={tau}")
 
 
 # =====================================================================
@@ -249,26 +226,18 @@ def _cmd_special(args) -> tuple[list[str], list[list]]:
 
 def _cmd_eigen(args) -> tuple[list[str], list[list]]:
     _require(args, "n", "tau")
-    _validate("eigen", tau=args.tau, tol=args.tol)
-    tol = args.tol if args.tol is not None else 1e-13
-    p = spectrum.p_n(args.n, args.tau, tol=tol)
+    _validate(tau=args.tau)
+    p = spectrum.p_n(args.n, args.tau)
     return ["p_n", "E_n", "dlnpn_dtau"], [
         [p, spectrum.e_n(args.n, args.tau), spectrum.dlnpn_dtau(args.n, args.tau)]
     ]
 
 
-def _field_params(args) -> ModelParams:
-    kwargs = {"eps": args.eps, "n": args.n}
-    if args.tol is not None:
-        kwargs["tol"] = args.tol
-    return ModelParams(**kwargs)
-
-
 def _cmd_field(args) -> tuple[list[str], list[list]]:
     _require(args, "eps", "n", "t")
     tau = args.eps * args.t
-    _validate("field", eps=args.eps, tau=tau, tol=args.tol)
-    params = _field_params(args)
+    _validate(eps=args.eps, tau=tau)
+    params = ModelParams(eps=args.eps, n=args.n)
     edge = 1.0 - tau
     x_min = args.x_min if args.x_min is not None else 0.0
     x_max = args.x_max if args.x_max is not None else edge
@@ -302,8 +271,8 @@ def _cmd_field(args) -> tuple[list[str], list[list]]:
 def _cmd_compare(args) -> tuple[list[str], list[list]]:
     _require(args, "eps", "n", "t")
     tau = args.eps * args.t
-    _validate("compare", eps=args.eps, tau=tau, tol=args.tol)
-    params = _field_params(args)
+    _validate(eps=args.eps, tau=tau)
+    params = ModelParams(eps=args.eps, n=args.n)
     steps = args.x_steps if args.x_steps is not None else 200
     if steps < 1:
         raise _Invalid("--x-steps must be at least 1")
@@ -359,7 +328,7 @@ def _cmd_sweep(args) -> tuple[list[str], list[list]]:
     else:
         _require(args, "tau")
         tau = args.tau
-    _validate("sweep", eps=np.array(eps_list), tau=tau, tol=args.tol)
+    _validate(eps=np.array(eps_list), tau=tau)
     xi = args.xi if args.xi is not None else 0.5
 
     jobs = [(args.check, eps, args.n, tau, args.x, xi) for eps in eps_list]
@@ -383,7 +352,7 @@ def _cmd_sweep(args) -> tuple[list[str], list[list]]:
 
 def _cmd_oracle(args) -> tuple[list[str], list[list]]:
     _require(args, "eps", "n", "t0", "t1")
-    _validate("oracle", eps=args.eps, tau_final=args.eps * args.t1)
+    _validate(eps=args.eps, tau_final=args.eps * args.t1)
     if args.t1 < args.t0:
         raise _Invalid("--t1 must not be below --t0")
     params = ModelParams(eps=args.eps, n=args.n)
@@ -445,7 +414,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="bound-state momentum and energy at one tau")
     eig.add_argument("--n", type=int)
     eig.add_argument("--tau", type=float)
-    eig.add_argument("--tol", type=float)
 
     fld = subs.add_parser("field", parents=[common],
                           help="evaluate the mode on an x grid")
@@ -456,7 +424,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fld.add_argument("--x-max", type=float, dest="x_max")
     fld.add_argument("--x-steps", type=int, dest="x_steps")
     fld.add_argument("--method", choices=["contour", "series"])
-    fld.add_argument("--tol", type=float)
 
     cmp_ = subs.add_parser("compare", parents=[common],
                            help="exact field against the regime asymptotics")
@@ -465,7 +432,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--t", type=float)
     cmp_.add_argument("--x-steps", type=int, dest="x_steps")
     cmp_.add_argument("--delta-reg", type=float, dest="delta_reg")
-    cmp_.add_argument("--tol", type=float)
 
     swp = subs.add_parser("sweep", parents=[common],
                           help="asymptotic error across an eps list")
@@ -475,7 +441,6 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--check", choices=["adiabatic", "outside", "transition"])
     swp.add_argument("--x", type=float, help="evaluation point inside the well")
     swp.add_argument("--xi", type=float, help="distance past the edge (outside)")
-    swp.add_argument("--tol", type=float)
 
     orc = subs.add_parser("oracle", parents=[common],
                           help="propagate the mode and report the deviation")

@@ -35,14 +35,14 @@ scipy and against direct contour quadrature, keeping two independent routes):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gamma
 
 import numpy as np
 
+from ._panels import gl_panels, gl_rule
 from .errors import AccuracyLoss, OnCut
 
-__all__ = ["SeriesControl", "airy_ai", "f_transition", "a_fn", "zeta_fn"]
+__all__ = ["airy_ai", "f_transition", "a_fn", "zeta_fn"]
 
 _EPS_MACH = 2.3e-16
 _OMEGA = np.exp(2j * np.pi / 3.0)
@@ -50,22 +50,12 @@ _AI0 = 3.0 ** (-2.0 / 3.0) / gamma(2.0 / 3.0)
 _AIP0 = -(3.0 ** (-1.0 / 3.0)) / gamma(1.0 / 3.0)
 _SQRT_PI = np.sqrt(np.pi)
 
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Knobs for the Airy evaluation strategy.
-
-    truncation_order : number of Maclaurin terms kept inside the switch radius.
-    switch_radius    : |z| at which evaluation changes to the large-z expansion.
-    target_abs_tol   : raise AccuracyLoss if the error estimate exceeds this.
-    """
-
-    truncation_order: int = 60
-    switch_radius: float = 6.0
-    target_abs_tol: float = 1e-8
-
-
-DEFAULT_CONTROL = SeriesControl()
+# Airy evaluation: Maclaurin terms kept inside the switch radius, the |z| at
+# which the large-z expansion takes over, and the error estimate above which
+# AccuracyLoss is raised
+_TRUNCATION_ORDER = 60
+_SWITCH_RADIUS = 6.0
+_TARGET_ABS_TOL = 1e-8
 
 
 # =====================================================================
@@ -136,16 +126,16 @@ def _airy_asymp(z: np.ndarray, max_terms: int = 36):
     return ai, aip, scale * (err + floor)
 
 
-def _airy_pair(z: np.ndarray, control: SeriesControl):
+def _airy_pair(z: np.ndarray):
     """(ai, aip, err_est) on the full plane, dispatching by |z| and arg z."""
     z = np.asarray(z, dtype=complex)
     ai = np.zeros_like(z)
     aip = np.zeros_like(z)
     err = np.zeros(z.shape)
 
-    near = np.abs(z) <= control.switch_radius
+    near = np.abs(z) <= _SWITCH_RADIUS
     if np.any(near):
-        a, ap, peak = _airy_series(z[near], control.truncation_order)
+        a, ap, peak = _airy_series(z[near], _TRUNCATION_ORDER)
         ai[near], aip[near] = a, ap
         err[near] = peak * _EPS_MACH
 
@@ -163,8 +153,8 @@ def _airy_pair(z: np.ndarray, control: SeriesControl):
         if np.any(~good):
             # rotate into the good sector: Ai(z) = -w*Ai(w z) - w^2*Ai(w^2 z)
             zb = zf[~good]
-            a1, ap1, e1 = _airy_pair(_OMEGA * zb, control)
-            a2, ap2, e2 = _airy_pair(zb / _OMEGA, control)
+            a1, ap1, e1 = _airy_pair(_OMEGA * zb)
+            a2, ap2, e2 = _airy_pair(zb / _OMEGA)
             af[~good] = -_OMEGA * a1 - _OMEGA**2 * a2
             apf[~good] = -_OMEGA**2 * ap1 - _OMEGA * ap2
             ef[~good] = e1 + e2
@@ -172,32 +162,32 @@ def _airy_pair(z: np.ndarray, control: SeriesControl):
     return ai, aip, err
 
 
-def airy_ai(s, deriv: int = 0, control: SeriesControl = DEFAULT_CONTROL):
+def airy_ai(s, deriv: int = 0):
     """Ai(s) (deriv=0) or Ai'(s) (deriv=1) for complex s, scalar or array."""
     if deriv not in (0, 1):
         raise ValueError("deriv must be 0 or 1")
     z = np.asarray(s, dtype=complex)
     scalar = np.ndim(s) == 0
-    ai, aip, err = _airy_pair(np.atleast_1d(z), control)
+    ai, aip, err = _airy_pair(np.atleast_1d(z))
     val = ai if deriv == 0 else aip
-    bad = err > control.target_abs_tol * np.maximum(1.0, np.abs(val))
+    bad = err > _TARGET_ABS_TOL * np.maximum(1.0, np.abs(val))
     if np.any(bad):
         worst = float(np.max(err))
         raise AccuracyLoss(
             f"airy_ai error estimate {worst:.2e} exceeds target "
-            f"{control.target_abs_tol:.2e}; raise switch_radius or the target"
+            f"{_TARGET_ABS_TOL:.2e}"
         )
     out = val.reshape(z.shape)
     return complex(out) if scalar else out
 
 
-def f_transition(z, control: SeriesControl = DEFAULT_CONTROL):
+def f_transition(z):
     """sqrt(pi) * exp(-2 z^3/3 - i pi/12) * (z Ai(z^2) - Ai'(z^2))."""
     zz = np.asarray(z, dtype=complex)
     scalar = np.ndim(z) == 0
     w = zz * zz
-    ai = airy_ai(w, 0, control)
-    aip = airy_ai(w, 1, control)
+    ai = airy_ai(w, 0)
+    aip = airy_ai(w, 1)
     out = _SQRT_PI * np.exp(-2.0 * zz**3 / 3.0 - 1j * np.pi / 12.0) * (zz * ai - aip)
     return complex(out) if scalar else np.asarray(out)
 
@@ -206,7 +196,6 @@ def f_transition(z, control: SeriesControl = DEFAULT_CONTROL):
 # the moment integral a(z)
 # =====================================================================
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _A_ASY_CUTOFF = 30.0
 _A_ASY_TERMS = 9
 
@@ -220,12 +209,13 @@ def _a_fn_quad(z: float, deriv: int) -> complex:
     pts = [0.0, step]
     while pts[-1] < 6.5:
         pts.append(min(pts[-1] * 1.7, 6.5))
+    edges = np.array(pts)
+    u = rot * gl_panels(edges, 16)[0]
+    f = np.exp(-(u**3) / 3.0 + 1j * z * u * u) * u * (1j * u * u) ** deriv
+    weights = gl_rule(16)[1]
     total = 0.0 + 0.0j
-    for a, b in zip(pts[:-1], pts[1:]):
-        r = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
-        u = rot * r
-        f = np.exp(-(u**3) / 3.0 + 1j * z * u * u) * u * (1j * u * u) ** deriv
-        total += 0.5 * (b - a) * np.dot(_GL_WEIGHTS, f)
+    for half, row in zip(0.5 * (edges[1:] - edges[:-1]), f):
+        total += half * np.dot(weights, row)
     return complex(total * rot)
 
 

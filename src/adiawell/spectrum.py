@@ -32,11 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._panels import gl_panels, gl_rule
 from .errors import ContinuationFailure, NoEigenvalue
 
 __all__ = [
     "ModelParams",
-    "SpaceTimePoint",
     "tau_threshold",
     "p_n",
     "e_n",
@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 _BISECT_ITERS = 64
+_NEWTON_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -56,31 +57,12 @@ class ModelParams:
 
     eps: float
     n: int
-    tol: float = 1e-13
 
     def __post_init__(self) -> None:
         if not (0.0 < self.eps < 1.0):
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
         if self.n < 1:
             raise ValueError(f"mode index must be >= 1, got {self.n}")
-
-
-@dataclass(frozen=True)
-class SpaceTimePoint:
-    """A sample point (x, t) with the slow coordinates derived from eps."""
-
-    x: float
-    t: float
-    eps: float
-
-    @property
-    def tau(self) -> float:
-        return self.eps * self.t
-
-    @property
-    def xi(self) -> float:
-        """Stretched distance past the well edge (negative inside)."""
-        return self.eps * (self.x - (1.0 - self.tau))
 
 
 def tau_threshold(n: int) -> float:
@@ -102,7 +84,7 @@ def _p_n_raw(n: int, tau: np.ndarray) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def p_n(n: int, tau, tol: float = 1e-13):
+def p_n(n: int, tau):
     """Bound-state momentum p_n(tau) in (0, 1]; NoEigenvalue past threshold."""
     tau_arr = np.asarray(tau, dtype=float)
     scalar = np.ndim(tau) == 0
@@ -143,14 +125,12 @@ def int_e_n(n: int, tau_lo: float, tau_hi: float) -> float:
     """
     if tau_hi == tau_lo:
         return 0.0
-    nodes, weights = np.polynomial.legendre.leggauss(20)
     n_panels = max(4, int(np.ceil(abs(tau_hi - tau_lo) / 0.1)))
     edges = np.linspace(tau_lo, tau_hi, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    ts, _ = gl_panels(edges, 20)
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    ts = mid + half * nodes[None, :]
     vals = e_n(n, ts.ravel()).reshape(ts.shape)
-    return float(np.sum(half * vals * weights[None, :]))
+    return float(np.sum(half * vals * gl_rule(20)[1]))
 
 
 def psi_n(n: int, tau, x):
@@ -186,11 +166,12 @@ def _tilde_residual(p: complex, n: int, tau: float, xi: float) -> complex:
 
 
 def _tilde_slope(p: complex, tau: float, xi: float) -> complex:
+    """d/dp of the continued dispersion relation; 1/slope is d ln p~ / d tau."""
     root = np.sqrt(1.0 - p * p)
     return (1.0 - tau) + 1.0 / root - 0.5j * xi / root**3
 
 
-def p_n_tilde(n: int, tau: float, xi: float, tol: float = 1e-13) -> complex:
+def p_n_tilde(n: int, tau: float, xi: float) -> complex:
     """Momentum continued to the outside coordinate xi >= 0.
 
     Newton continuation in xi from the real root p_n(tau); the step is halved
@@ -210,7 +191,7 @@ def p_n_tilde(n: int, tau: float, xi: float, tol: float = 1e-13) -> complex:
         ok = False
         for _ in range(50):
             f = _tilde_residual(trial, n, tau, target)
-            if abs(f) < tol:
+            if abs(f) < _NEWTON_TOL:
                 ok = True
                 break
             trial = trial - f / _tilde_slope(trial, tau, target)

@@ -30,8 +30,7 @@ Evaluation strategy
 
   placing the kernel anchor near Re p = +-0.5 where the straight ladder is
   valid.  This is an identity, not an approximation: no clearance tuning, no
-  pole dodging.  (A requested BentVertical contour is honored through this
-  relocation; the result is the same analytic continuation.)
+  pole dodging.
 * In the thin collar 1 - |Re p| < 0.45 eps (inside the strip, hugging a
   branch point) the ladder loses its analyticity margin; there the kernel
   integral is done with Gauss-Legendre panels geometrically graded toward
@@ -51,15 +50,16 @@ an honest error estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
-from .branches import _l0_raw, _l1_raw, _q0_raw, int_l0, l0_prime, l1_prime, rho0
+from ._panels import bisect_polyline, gl_panels, gl_rule
+from .branches import _l0_raw, _l1_raw, int_l0, l0_prime, l1_prime, rho0
 from .errors import ContourClash, QuadratureFailure
 
 __all__ = [
-    "ContourSpec",
     "QuadratureReport",
     "big_l0",
     "big_l1",
@@ -84,29 +84,13 @@ _COLLAR_D = 0.45      # s-plane analyticity margin below which panels grade
 _S_GRID = np.arange(-int(round(_S_MAX / _S_STEP)), int(round(_S_MAX / _S_STEP)) + 1) * _S_STEP
 _KERNEL_W = 0.5 * np.pi * _S_STEP / np.cosh(np.pi * _S_GRID) ** 2
 
-_GL6_X, _GL6_W = np.polynomial.legendre.leggauss(6)
-_GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
-_GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
-
 _REGULAR_EST = 5e-12
 _COLLAR_EST = 2e-9
 
-
-@dataclass(frozen=True)
-class ContourSpec:
-    """A concrete integration contour.
-
-    kind is one of 'VerticalLine', 'BentVertical' (kernel ladders),
-    'Ray', 'SteepestDescent' (mode-integral contours; built in wavefield).
-    anchor is the point the contour is attached to; nodes, when present,
-    are the polyline vertices actually used; truncation_height is the
-    parameter extent at which the tails were dropped.
-    """
-
-    kind: Literal["VerticalLine", "BentVertical", "Ray", "SteepestDescent"]
-    anchor: complex
-    nodes: tuple[complex, ...] | None = None
-    truncation_height: float = _S_MAX
+# memo bounds: tables per eps (a process works at a few eps at a time) and
+# first-period edge integrals (about 700 distinct targets per eps)
+_EPS_SLOTS = 8
+_EDGE_PART_SLOTS = 4096
 
 
 @dataclass(frozen=True)
@@ -157,14 +141,11 @@ def _kernel_graded(fam: int, z: complex, eps: float, side: int, d_s: float, c: f
     while s < _S_MAX:
         cuts.add(s)
         s += 1.0
-    pts = np.array(sorted(cuts))
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    halfs = 0.5 * (pts[1:] - pts[:-1])
-    nodes = mids[:, None] + halfs[:, None] * _GL16_X[None, :]
+    nodes, weights = gl_panels(np.array(sorted(cuts)), 16)
     args = z + 1j * eps * nodes
     vals = _family_raw(fam)(args, np.full(args.shape, side))
     kern = 0.5 * np.pi / np.cosh(np.pi * nodes) ** 2
-    return complex(np.sum(halfs[:, None] * _GL16_W[None, :] * kern * vals))
+    return complex(np.sum(weights * kern * vals))
 
 
 def _big_l_values(fam: int, p, eps: float, side=0) -> np.ndarray:
@@ -217,40 +198,18 @@ def _big_l_values(fam: int, p, eps: float, side=0) -> np.ndarray:
     return out + corr
 
 
-def big_l0(p, eps: float, side=0, contour: ContourSpec | None = None) -> QuadratureReport:
-    """Smoothed branch function L0(p); see module docstring for the method.
-
-    An explicit contour may force 'VerticalLine' (straight ladder, rejected if
-    it would cross a cut) or 'BentVertical' (realized via the exact
-    relocation); mode-integral contour kinds are rejected.
-    """
-    _check_kernel_contour(contour, p, eps, fam=0)
+def big_l0(p, eps: float, side=0) -> QuadratureReport:
+    """Smoothed branch function L0(p); see module docstring for the method."""
     val = _big_l_values(0, p, eps, side)
     est = _estimate_l_error(0, p, eps)
     return QuadratureReport(complex(val[0]), est, _S_GRID.size)
 
 
-def big_l1(p, eps: float, side=0, contour: ContourSpec | None = None) -> QuadratureReport:
+def big_l1(p, eps: float, side=0) -> QuadratureReport:
     """Smoothed continuation L1(p) on the plane cut along (-inf, 1]."""
-    _check_kernel_contour(contour, p, eps, fam=1)
     val = _big_l_values(1, p, eps, side)
     est = _estimate_l_error(1, p, eps)
     return QuadratureReport(complex(val[0]), est, _S_GRID.size)
-
-
-def _check_kernel_contour(contour: ContourSpec | None, p, eps: float, fam: int) -> None:
-    if contour is None:
-        return
-    if contour.kind in ("Ray", "SteepestDescent"):
-        raise ContourClash(f"{contour.kind} is a mode-integral contour, not a kernel ladder")
-    if contour.kind == "VerticalLine":
-        a = float(np.real(p))
-        blocked = (abs(a) >= 1.0) if fam == 0 else (a <= 1.0)
-        if blocked and abs(float(np.imag(p))) <= _CROSS_S * eps:
-            raise ContourClash(
-                "a straight vertical ladder through this point crosses a cut; "
-                "use BentVertical (exact relocation) or the default"
-            )
 
 
 def _estimate_l_error(fam: int, p, eps: float) -> float:
@@ -322,7 +281,7 @@ def _partial_integral_matrix(nodes: np.ndarray) -> np.ndarray:
     return anti @ inv
 
 
-_B6 = _partial_integral_matrix(_GL6_X)
+_B6 = _partial_integral_matrix(gl_rule(6)[0])
 
 
 @dataclass(frozen=True)
@@ -351,13 +310,10 @@ def _g_values(q: np.ndarray, eps: float, side) -> np.ndarray:
 
 
 def _cumulative_on_polyline(points: np.ndarray, eps: float, side) -> PathQuadrature:
-    seg_a = points[:-1]
-    seg_b = points[1:]
-    mid = 0.5 * (seg_a + seg_b)
-    half = 0.5 * (seg_b - seg_a)
-    gauss = mid[:, None] + half[:, None] * _GL6_X[None, :]
+    gauss, _ = gl_panels(points, 6)
+    half = 0.5 * (points[1:] - points[:-1])
     g = _g_values(gauss, eps, side)
-    inc = half * (g @ _GL6_W)
+    inc = half * (g @ gl_rule(6)[1])
     lnA_points = np.concatenate([[0.0 + 0.0j], np.cumsum(inc)])
     lnA_gauss = lnA_points[:-1, None] + half[:, None] * (g @ _B6.T)
     return PathQuadrature(points, gauss, lnA_points, lnA_gauss, 0.0)
@@ -377,10 +333,7 @@ def path_cumulative(
     coarse = _cumulative_on_polyline(pts, eps, side)
     if not refine:
         return coarse
-    dense = np.empty(2 * pts.size - 1, dtype=complex)
-    dense[0::2] = pts
-    dense[1::2] = 0.5 * (pts[:-1] + pts[1:])
-    fine = _cumulative_on_polyline(dense, eps, side)
+    fine = _cumulative_on_polyline(bisect_polyline(pts), eps, side)
     est = float(np.max(np.abs(fine.lnA_points[0::2] - coarse.lnA_points)))
     return PathQuadrature(pts, fine.gauss, fine.lnA_points[0::2], fine.lnA_gauss, est)
 
@@ -458,10 +411,7 @@ def r_boundary(p, eps: float) -> QuadratureReport:
 # the upper edge of [1, inf): one-period quadrature + exact recursion
 # =====================================================================
 
-_BASE01_CACHE: dict[float, complex] = {}
-_EDGE_PART_CACHE: dict[tuple[float, float], complex] = {}
-
-
+@lru_cache(maxsize=_EPS_SLOTS)
 def _lnA_at_one(eps: float) -> complex:
     """(i/eps) int_0^1 (L0 - l0) with panels graded into the eps-structure.
 
@@ -470,8 +420,6 @@ def _lnA_at_one(eps: float) -> complex:
     to run geometrically all the way down to ~1e-9 for the endpoint panels to
     lose their algebraic error.
     """
-    if eps in _BASE01_CACHE:
-        return _BASE01_CACHE[eps]
     pts = [0.0, 0.35, 0.7]
     d = min(4.0 * eps, 0.28)
     pts.append(1.0 - d)
@@ -480,9 +428,7 @@ def _lnA_at_one(eps: float) -> complex:
         pts.append(1.0 - d)
     pts.append(1.0)
     path = path_cumulative(np.array(pts, dtype=complex), eps, refine=True)
-    out = complex(path.lnA_points[-1])
-    _BASE01_CACHE[eps] = out
-    return out
+    return complex(path.lnA_points[-1])
 
 
 def _geometric_leg(a: complex, b: complex, scale_at_a: float, coarse: float) -> list[complex]:
@@ -526,23 +472,15 @@ def _int_g_first_period(eps: float, frac_targets: np.ndarray) -> np.ndarray:
         across = list(1.0 + 1j * h + frac * np.arange(1, across_n + 1) / across_n)
         down = _geometric_leg(1.0 + frac + 0.0j, 1.0 + frac + 1j * h, 1e-10 * eps, 0.2 * eps)
         pts = np.array(up + across + list(reversed(down))[1:], dtype=complex)
-        mid = 0.5 * (pts[:-1] + pts[1:])
-        half = 0.5 * (pts[1:] - pts[:-1])
-        nodes = mid[:, None] + half[:, None] * _GL8_X[None, :]
-        g = _g_values(nodes, eps, 1)
-        out[i] = np.sum(half[:, None] * _GL8_W[None, :] * g)
+        nodes, weights = gl_panels(pts, 8)
+        out[i] = np.sum(weights * _g_values(nodes, eps, 1))
     return out
 
 
-def _edge_parts(eps: float, frac: np.ndarray) -> np.ndarray:
-    """Memoized first-period integrals; distinct targets computed once."""
-    keys = np.round(frac / eps, 12)
-    missing = [k for k in np.unique(keys) if (eps, float(k)) not in _EDGE_PART_CACHE]
-    if missing:
-        vals = _int_g_first_period(eps, np.array(missing) * eps)
-        for k, v in zip(missing, vals):
-            _EDGE_PART_CACHE[(eps, float(k))] = complex(v)
-    return np.array([_EDGE_PART_CACHE[(eps, float(k))] for k in keys])
+@lru_cache(maxsize=_EDGE_PART_SLOTS)
+def _edge_part(eps: float, key: float) -> complex:
+    """First-period integral to 1 + key * eps (key = frac/eps to 12 digits)."""
+    return complex(_int_g_first_period(eps, np.array([key]) * eps)[0])
 
 
 def upper_edge_amplitude(eps: float, xs: np.ndarray) -> np.ndarray:
@@ -563,7 +501,7 @@ def upper_edge_amplitude(eps: float, xs: np.ndarray) -> np.ndarray:
     frac[neg] += eps
 
     lnA1 = _lnA_at_one(eps)
-    part = _edge_parts(eps, frac)
+    part = np.array([_edge_part(eps, float(k)) for k in np.round(frac / eps, 12)])
     lnA_x0 = lnA1 + part
 
     out = np.exp(lnA_x0)
@@ -598,6 +536,5 @@ def amplitude_along(points, eps: float, side=0, refine: bool = True):
     pts = np.asarray(points, dtype=complex)
     lead = path_cumulative(_route_from_origin(complex(pts[0])), eps, refine=refine)
     along = path_cumulative(pts, eps, side=side, refine=refine)
-    base = lead.lnA_points[-1]
-    amps = np.exp(base + along.lnA_points)
-    return amps, along, complex(base)
+    amps = np.exp(lead.lnA_points[-1] + along.lnA_points)
+    return amps, along

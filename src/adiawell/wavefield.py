@@ -64,9 +64,11 @@ cross-checks possible: the two routes share no quadrature code.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
+from ._panels import bisect_polyline, gl_panels, gl_rule
 from .branches import int_l0, l0, l0_prime, q0
 from .errors import ContourClash, TraceDiverged, TruncationTooSmall
 from .spectrum import (
@@ -107,9 +109,6 @@ __all__ = [
 # tuning constants
 # =====================================================================
 
-_GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
-_GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
-
 _DECAY_LEVEL = 45.0     # contours are truncated once Im S climbed this * eps
 _STEP_FRACTION = 0.35   # arc step as a fraction of the local saddle width
 _PHASE_PER_STEP = 2.0   # max radians of e^{iS/eps} per stored vertex
@@ -121,6 +120,10 @@ _MINUS_DEPTH = 12.0     # hard cap on the depth of the hook's vertical leg
 _MINUS_TIP = 1e-7       # innermost panel boundary at the branch point
 _PANEL_PHASE = 4.5      # max radians of e^{iS/eps} per vertical-leg panel
 _RAY_ANGLE = 0.25 * np.pi
+# memo bounds: hook-edge tables per (eps, rule) and per eps, and vertical-leg
+# tables per (eps, n, tau) at about 1.2 MB each
+_EPS_SLOTS = 8
+_MINUS_SLOTS = 32
 
 
 # =====================================================================
@@ -304,38 +307,25 @@ def _ray_vertices(n: int, tau: float, eps: float, level: float = _DECAY_LEVEL) -
 # =====================================================================
 
 
-def _gl_nodes(verts: np.ndarray, rule: int) -> tuple[np.ndarray, np.ndarray, int]:
-    xk, wk = (_GL8_X, _GL8_W) if rule == 8 else (_GL16_X, _GL16_W)
-    mid = 0.5 * (verts[:-1] + verts[1:])
-    half = 0.5 * (verts[1:] - verts[:-1])
-    nodes = (mid[:, None] + half[:, None] * xk[None, :]).ravel()
-    weights = (half[:, None] * wk[None, :]).ravel()
-    return nodes, weights, nodes.size
+def _gl_nodes(verts: np.ndarray, rule: int) -> tuple[np.ndarray, np.ndarray]:
+    nodes, weights = gl_panels(verts, rule)
+    return nodes.ravel(), weights.ravel()
 
 
 def _inside_weights(
     verts: np.ndarray, n: int, tau: float, eps: float, rule: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Complex node weights W_j with Psi(x) = pref * sum_j W_j sin(p_j x)."""
-    nodes, w, _ = _gl_nodes(verts, rule)
-    amps, along, _base = amplitude_along(nodes, eps, refine=True)
+    nodes, w = _gl_nodes(verts, rule)
+    amps, along = amplitude_along(nodes, eps, refine=True)
     act = action(nodes, n, tau)
     weights = w * amps * np.exp(1j * act.value / eps)
     return nodes, weights, float(along.est_error) + 2e-11
 
 
-def _basis_sum(x_arr: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    return np.sin(np.multiply.outer(x_arr, nodes)) @ weights
-
-
 # =====================================================================
 # the hook contour through p = 1 (cached node tables)
 # =====================================================================
-
-_PLUS_CACHE: dict[tuple[float, int], dict[str, np.ndarray]] = {}
-_MINUS_CACHE: dict[tuple[float, int, float], dict[int, dict[str, np.ndarray]]] = {}
-_LEG_AMP_CACHE: dict[float, dict[str, np.ndarray]] = {}
-
 
 def _period_fractions(first: bool) -> np.ndarray:
     """Panel boundaries of one edge period, graded into both cusp points.
@@ -367,30 +357,19 @@ def _edge_periods(eps: float, level: float) -> int:
     raise TruncationTooSmall("upper edge decay level not reached; eps too large?")
 
 
+@lru_cache(maxsize=_EPS_SLOTS)
 def _plus_tables(eps: float, rule: int) -> dict[str, np.ndarray]:
-    key = (float(eps), rule)
-    if key in _PLUS_CACHE:
-        return _PLUS_CACHE[key]
-    xk, wk = (_GL8_X, _GL8_W) if rule == 8 else (_GL16_X, _GL16_W)
-    periods = _edge_periods(eps, _DECAY_LEVEL)
-    xs_all: list[np.ndarray] = []
-    w_all: list[np.ndarray] = []
-    for m in range(periods):
-        bounds = 1.0 + m * eps + _period_fractions(m == 0) * eps
-        mid = 0.5 * (bounds[:-1] + bounds[1:])
-        half = 0.5 * (bounds[1:] - bounds[:-1])
-        xs_all.append((mid[:, None] + half[:, None] * xk[None, :]).ravel())
-        w_all.append((half[:, None] * wk[None, :]).ravel())
-    xs = np.concatenate(xs_all)
-    w = np.concatenate(w_all)
-    table = {
+    periods = [
+        _gl_nodes(1.0 + m * eps + _period_fractions(m == 0) * eps, rule)
+        for m in range(_edge_periods(eps, _DECAY_LEVEL))
+    ]
+    xs = np.concatenate([nodes for nodes, _ in periods])
+    return {
         "xs": xs,
-        "w": w,
+        "w": np.concatenate([w for _, w in periods]),
         "amp": upper_edge_amplitude(eps, xs),
         "il": np.asarray(int_l0(xs, side=1)),
     }
-    _PLUS_CACHE[key] = table
-    return table
 
 
 def _minus_depth(n: int, tau: float, eps: float) -> float:
@@ -441,6 +420,7 @@ def _minus_panels(n: int, tau: float, eps: float, depth: float) -> np.ndarray:
     return np.array(bounds)
 
 
+@lru_cache(maxsize=_EPS_SLOTS)
 def _leg_amplitude_tables(eps: float) -> dict[str, np.ndarray]:
     """Cumulative amplitude integral down the vertical leg, cached per eps.
 
@@ -452,16 +432,11 @@ def _leg_amplitude_tables(eps: float) -> dict[str, np.ndarray]:
     later evaluated at the oscillation-graded phase nodes.  The coarse pass
     at half resolution supplies the error estimate.
     """
-    key = float(eps)
-    if key in _LEG_AMP_CACHE:
-        return _LEG_AMP_CACHE[key]
     verts = [0.0, _MINUS_TIP]
     while verts[-1] < _MINUS_DEPTH:
         verts.append(min(verts[-1] * 1.3, _MINUS_DEPTH))
     v = np.array(verts)
-    dense = np.empty(2 * v.size - 1)
-    dense[0::2] = v
-    dense[1::2] = 0.5 * (v[:-1] + v[1:])
+    dense = bisect_polyline(v)
     coarse = path_cumulative(1.0 - 1j * v, eps, side=1, refine=False)
     fine = path_cumulative(1.0 - 1j * dense, eps, side=1, refine=False)
     est = float(np.max(np.abs(fine.lnA_points[0::2] - coarse.lnA_points)))
@@ -476,15 +451,13 @@ def _leg_amplitude_tables(eps: float) -> dict[str, np.ndarray]:
     diff = nodes_y[:, :, None] - nodes_y[:, None, :]
     diff[:, np.arange(8), np.arange(8)] = 1.0
     bary = 1.0 / np.prod(diff, axis=2)
-    table = {
+    return {
         "edges": dense,
         "y": nodes_y,
         "c": nodes_c,
         "bary": bary,
         "est": np.array([est]),
     }
-    _LEG_AMP_CACHE[key] = table
-    return table
 
 
 def _leg_ln_amplitude(eps: float, ys: np.ndarray) -> np.ndarray:
@@ -504,19 +477,14 @@ def _leg_ln_amplitude(eps: float, ys: np.ndarray) -> np.ndarray:
     return val
 
 
+@lru_cache(maxsize=_MINUS_SLOTS)
 def _minus_tables(eps: float, n: int, tau: float) -> dict[int, dict[str, np.ndarray]]:
-    key = (float(eps), n, round(float(tau), 9))
-    if key in _MINUS_CACHE:
-        return _MINUS_CACHE[key]
     edges = _minus_panels(n, tau, eps, _minus_depth(n, tau, eps))
     amp_tab = _leg_amplitude_tables(eps)
     ln_one = _lnA_at_one(eps)
     table: dict[int, dict[str, np.ndarray]] = {}
-    for rule, xk, wk in ((8, _GL8_X, _GL8_W), (16, _GL16_X, _GL16_W)):
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        ys = (mid[:, None] + half[:, None] * xk[None, :]).ravel()
-        w = (half[:, None] * wk[None, :]).ravel()
+    for rule in (8, 16):
+        ys, w = _gl_nodes(edges, rule)
         table[rule] = {
             "ys": ys,
             "w": w,
@@ -525,9 +493,6 @@ def _minus_tables(eps: float, n: int, tau: float) -> dict[int, dict[str, np.ndar
             "il": np.asarray(int_l0(1.0 - 1j * ys)),
             "amp_est": amp_tab["est"] + 5e-11,
         }
-    if len(_MINUS_CACHE) > 128:
-        _MINUS_CACHE.clear()
-    _MINUS_CACHE[key] = table
     return table
 
 
@@ -624,9 +589,13 @@ def mode_inside(
         raise ValueError(f"unknown method {method!r}")
 
     pref = np.exp(1j * t) / np.sqrt(eps * np.pi)
-    coarse = _basis_sum(x_arr, nodes8, w8)
-    fine = _basis_sum(x_arr, nodes16, w16)
-    scale = np.abs(np.sin(np.multiply.outer(x_arr, nodes16))) @ np.abs(w16)
+    coarse = np.sin(np.multiply.outer(x_arr, nodes8)) @ w8
+    # one sine matrix serves the sum and its error scale; taking the sine in
+    # place keeps a single copy of it alive
+    basis16 = np.multiply.outer(x_arr, nodes16)
+    np.sin(basis16, out=basis16)
+    fine = basis16 @ w16
+    scale = np.abs(basis16) @ np.abs(w16)
     est = np.abs(pref) * (np.abs(fine - coarse) + amp_est * scale)
     return FieldSample(x_arr, t, pref * fine, est, method)
 
@@ -643,10 +612,11 @@ def _shift_integral(nodes: np.ndarray, eps: float) -> np.ndarray:
     in closed form through int_l0, the first reuses the smoothed-symbol
     kernel batch.
     """
+    x8, w8 = gl_rule(8)
     mid = nodes - 0.25 * eps
-    qn = (mid[:, None] + 0.25 * eps * _GL8_X[None, :]).ravel()
-    g = _g_values(qn, eps, 0).reshape(nodes.size, _GL8_X.size)
-    part_g = 0.25 * eps * (g @ _GL8_W)
+    qn = (mid[:, None] + 0.25 * eps * x8).ravel()
+    g = _g_values(qn, eps, 0).reshape(nodes.size, x8.size)
+    part_g = 0.25 * eps * (g @ w8)
     part_l = (1j / eps) * (
         np.asarray(int_l0(nodes))
         - np.asarray(int_l0(nodes - 0.5 * eps))
@@ -669,8 +639,8 @@ def _outside_single(
     results = []
     amp_est = 0.0
     for rule in (8, 16):
-        nodes, w, _ = _gl_nodes(verts, rule)
-        amps, along, _base = amplitude_along(nodes, eps, refine=True)
+        nodes, w = _gl_nodes(verts, rule)
+        amps, along = amplitude_along(nodes, eps, refine=True)
         a_tilde = amps * np.exp(-_shift_integral(nodes, eps))
         act = action(nodes, n, tau, xi=xi)
         weights = w * a_tilde * nodes * np.exp(1j * act.value / eps)

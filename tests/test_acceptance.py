@@ -140,10 +140,12 @@ def test_criterion_06_dual_route_cross_validation():
 
 def test_criterion_07_pde_oracle():
     tic = time.perf_counter()
-    coarse = orc.propagate_and_compare(
-        P02, -10.0, -7.5, orc.GridSpec(x_max=40.0, nx=2000, dt=0.005))
-    fine = orc.propagate_and_compare(
-        P02, -10.0, -7.5, orc.GridSpec(x_max=40.0, nx=4000, dt=0.0025))
+    coarse = orc.propagate_report(
+        P02, -10.0, -7.5, orc.GridSpec(x_max=40.0, nx=2000, dt=0.005)
+    ).deviation
+    fine = orc.propagate_report(
+        P02, -10.0, -7.5, orc.GridSpec(x_max=40.0, nx=4000, dt=0.0025)
+    ).deviation
     elapsed = time.perf_counter() - tic
     ratio = coarse / fine
     ok = coarse <= 1e-3 and 2.5 <= ratio <= 6.5 and elapsed <= 120.0

@@ -252,7 +252,7 @@ def test_json_config_rejected(tmp_path, payload):
     [
         (["field", "--eps", "1.5", "--n", "1", "--t", "-10"], 2),
         (["field", "--eps", "0.2", "--n", "1", "--t", "6"], 2),
-        (["eigen", "--n", "1", "--tau", "-2", "--tol", "-1"], 2),
+        (["eigen", "--n", "1", "--tau", "-2", "--tol", "1e-13"], 2),  # unknown flag
         (["eigen", "--n", "1"], 2),
         (["field", "--eps", "0.2", "--n", "1", "--t", "-10",
           "--method", "series", "--x-max", "5"], 2),

@@ -219,3 +219,19 @@ def test_suggest_x_max_bounds_the_tail():
     x_max = orc.suggest_x_max(params, -7.5)
     assert x_max == pytest.approx(SUGGESTED_X_MAX)
     assert abs(outside_leading(params, x_max, -7.5)) < 1e-10
+
+
+def test_second_grid_reuses_the_exterior_samples():
+    # criterion 07 runs two grids with the same x_max; the second must not
+    # evaluate the exterior contour points again
+    params = ModelParams(eps=0.2, n=1)
+    memo = orc._outside_interpolant
+    before = memo.cache_info()
+    orc.propagate_report(params, -10.0, -10.0, orc.GridSpec(x_max=3.6, nx=36, dt=0.01))
+    first = memo.cache_info()
+    orc.propagate_report(params, -10.0, -10.0, orc.GridSpec(x_max=3.6, nx=72, dt=0.01))
+    second = memo.cache_info()
+    assert first.misses - before.misses == 1
+    assert second.misses == first.misses
+    assert second.hits - first.hits == 2
+    assert second.currsize <= second.maxsize

@@ -13,8 +13,9 @@ import pytest
 import scipy.special
 from scipy.integrate import quad
 
+from adiawell import special
 from adiawell.errors import AccuracyLoss, OnCut
-from adiawell.special import SeriesControl, a_fn, airy_ai, f_transition, zeta_fn
+from adiawell.special import a_fn, airy_ai, f_transition, zeta_fn
 
 RNG = np.random.default_rng(7)
 
@@ -91,10 +92,10 @@ def test_airy_switch_seam_is_small():
     assert np.max(np.abs(outer - ai_out) / np.maximum(np.abs(ai_out), 1e-30)) < 1e-7
 
 
-def test_airy_accuracy_loss_raised_when_target_unreachable():
-    strict = SeriesControl(target_abs_tol=1e-15)
+def test_airy_accuracy_loss_raised_when_target_unreachable(monkeypatch):
+    monkeypatch.setattr(special, "_TARGET_ABS_TOL", 1e-15)
     with pytest.raises(AccuracyLoss):
-        airy_ai(6.5 * np.exp(1j * np.pi / 3.0), 0, strict)
+        airy_ai(6.5 * np.exp(1j * np.pi / 3.0), 0)
 
 
 # ---------------------------------------------------------------------

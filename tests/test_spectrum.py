@@ -9,7 +9,6 @@ from scipy.integrate import quad
 from adiawell.errors import ContinuationFailure, NoEigenvalue
 from adiawell.spectrum import (
     ModelParams,
-    SpaceTimePoint,
     c_n_phase,
     dlnpn_dtau,
     e_n,
@@ -142,6 +141,3 @@ def test_params_validation_and_point():
         ModelParams(eps=1.5, n=1)
     with pytest.raises(ValueError):
         ModelParams(eps=0.1, n=0)
-    pt = SpaceTimePoint(x=3.0, t=-20.0, eps=0.1)
-    assert abs(pt.tau - (-2.0)) < 1e-15
-    assert abs(pt.xi - 0.1 * (3.0 - 3.0)) < 1e-15
