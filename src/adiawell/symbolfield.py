@@ -35,6 +35,11 @@ Evaluation strategy
   branch point) the ladder loses its analyticity margin; there the kernel
   integral is done with Gauss-Legendre panels geometrically graded toward
   the singular direction.
+* The amplitude A along a contour (`amplitude_along`) costs one kernel sweep:
+  the 16-point rule on each segment gives ln A at the vertices, and partial
+  integrals of the same kernel values give it at the nodes of both outer
+  Gauss rules (8 and 16 points); a second sweep on the bisected contour
+  supplies the error estimate.
 * The amplitude on the upper edge of [1, inf) - needed by the post-threshold
   contour - is computed by quadrature on one eps-period past p = 1 and then
   propagated exactly by A(p + eps) = rho0(p + eps/2) A(p) *
@@ -54,6 +59,7 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
+from numpy.polynomial.legendre import legint, legvander
 
 from ._panels import bisect_polyline, gl_panels, gl_rule
 from .branches import _l0_raw, _l1_raw, int_l0, l0_prime, l1_prime, rho0
@@ -86,6 +92,10 @@ _KERNEL_W = 0.5 * np.pi * _S_STEP / np.cosh(np.pi * _S_GRID) ** 2
 
 _REGULAR_EST = 5e-12
 _COLLAR_EST = 2e-9
+# relative error allowed in A for the ladder's own error, which no refinement
+# of the path quadrature sees (it also makes A slightly path dependent where
+# a route enters the relocated or collar region)
+_LADDER_EST = 2e-11
 
 # memo bounds: tables per eps (a process works at a few eps at a time) and
 # first-period edge integrals (about 700 distinct targets per eps)
@@ -269,19 +279,27 @@ def periodic_p_fourier(eps: float, k_max: int = 6) -> np.ndarray:
 # =====================================================================
 
 
-def _partial_integral_matrix(nodes: np.ndarray) -> np.ndarray:
-    """B[j, m] = int_{-1}^{nodes[j]} of the m-th Lagrange basis polynomial."""
+def _partial_integral_matrix(nodes: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """B[j, m] = int_{-1}^{targets[j]} of the m-th Lagrange basis polynomial.
+
+    Built in the Legendre basis: its Vandermonde matrix at Gauss nodes stays
+    well conditioned at 16 nodes, where the monomial one loses four digits.
+    """
     k = nodes.size
-    v = np.vander(nodes, k, increasing=True)
-    inv = np.linalg.inv(v)  # column m: monomial coefficients of basis m
-    powers = np.arange(1, k + 1)
-    upper = nodes[:, None] ** powers[None, :] / powers[None, :]
-    lower = (-1.0) ** powers / powers
-    anti = upper - lower[None, :]
+    inv = np.linalg.inv(legvander(nodes, k - 1))  # column m: coefficients of basis m
+    anti = legvander(targets, k) @ legint(np.eye(k), lbnd=-1)
     return anti @ inv
 
 
-_B6 = _partial_integral_matrix(gl_rule(6)[0])
+_B6 = _partial_integral_matrix(gl_rule(6)[0], gl_rule(6)[0])
+
+# amplitude_along's targets: the 8- then the 16-point nodes of a segment.  The
+# refined pass reaches a target x < 0 at 2x + 1 on the first half segment,
+# and x > 0 at 2x - 1 on the second.
+_TARGETS = np.concatenate([gl_rule(8)[0], gl_rule(16)[0]])
+_UPPER_HALF = (_TARGETS > 0.0).astype(int)
+_B_WHOLE = _partial_integral_matrix(gl_rule(16)[0], _TARGETS)
+_B_HALF = _partial_integral_matrix(gl_rule(16)[0], 2.0 * _TARGETS + 1.0 - 2.0 * _UPPER_HALF)
 
 
 @dataclass(frozen=True)
@@ -309,14 +327,19 @@ def _g_values(q: np.ndarray, eps: float, side) -> np.ndarray:
     return ((1j / eps) * (big - small)).reshape(shape)
 
 
-def _cumulative_on_polyline(points: np.ndarray, eps: float, side) -> PathQuadrature:
-    gauss, _ = gl_panels(points, 6)
+def _sweep(points: np.ndarray, eps: float, side, order: int, b: np.ndarray):
+    """ln A - ln A(points[0]) from one kernel sweep of the order-point rule.
+
+    Returns the rule's nodes, the values at the vertices, and the values at
+    the targets of the partial-integral matrix b on every segment.
+    """
+    nodes, _ = gl_panels(points, order)
     half = 0.5 * (points[1:] - points[:-1])
-    g = _g_values(gauss, eps, side)
-    inc = half * (g @ gl_rule(6)[1])
-    lnA_points = np.concatenate([[0.0 + 0.0j], np.cumsum(inc)])
-    lnA_gauss = lnA_points[:-1, None] + half[:, None] * (g @ _B6.T)
-    return PathQuadrature(points, gauss, lnA_points, lnA_gauss, 0.0)
+    g = _g_values(nodes, eps, side)
+    inc = half * (g @ gl_rule(order)[1])
+    at_points = np.concatenate([[0.0 + 0.0j], np.cumsum(inc)])
+    at_targets = at_points[:-1, None] + half[:, None] * (g @ b.T)
+    return nodes, at_points, at_targets
 
 
 def path_cumulative(
@@ -330,12 +353,12 @@ def path_cumulative(
     pts = np.asarray(points, dtype=complex)
     if pts.ndim != 1 or pts.size < 2:
         raise ValueError("need at least two polyline vertices")
-    coarse = _cumulative_on_polyline(pts, eps, side)
+    gauss, coarse, at_gauss = _sweep(pts, eps, side, 6, _B6)
     if not refine:
-        return coarse
-    fine = _cumulative_on_polyline(bisect_polyline(pts), eps, side)
-    est = float(np.max(np.abs(fine.lnA_points[0::2] - coarse.lnA_points)))
-    return PathQuadrature(pts, fine.gauss, fine.lnA_points[0::2], fine.lnA_gauss, est)
+        return PathQuadrature(pts, gauss, coarse, at_gauss, 0.0)
+    gauss, fine, at_gauss = _sweep(bisect_polyline(pts), eps, side, 6, _B6)
+    est = float(np.max(np.abs(fine[0::2] - coarse)))
+    return PathQuadrature(pts, gauss, fine[0::2], at_gauss, est)
 
 
 def _route_from_origin(p: complex) -> np.ndarray:
@@ -377,7 +400,7 @@ def amplitude_a(p, eps: float) -> QuadratureReport:
     path = path_cumulative(_route_from_origin(z), eps)
     return QuadratureReport(
         complex(np.exp(path.lnA_points[-1])),
-        float(2.0 * path.est_error) + 1e-12,
+        float(2.0 * path.est_error) + _LADDER_EST,
         path.gauss.size,
     )
 
@@ -526,15 +549,42 @@ def upper_edge_amplitude(eps: float, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def amplitude_along(points, eps: float, side=0, refine: bool = True):
-    """Amplitude A at every vertex of a polyline starting at a known base.
+def _meets_cut(points: np.ndarray) -> bool:
+    """True if the polyline touches or crosses the cuts |Re p| >= 1, Im p = 0."""
+    a, b = points[:-1], points[1:]
+    on_cut = (points.imag == 0.0) & (np.abs(points.real) >= 1.0)
+    across = a.imag * b.imag < 0.0
+    t = a.imag[across] / (a.imag[across] - b.imag[across])
+    x = a.real[across] + t * (b.real[across] - a.real[across])
+    return bool(np.any(on_cut) or np.any(np.abs(x) >= 1.0))
 
-    The first vertex must be reachable from 0 by a straight route; returns
-    (A_values_at_points, PathQuadrature) so callers can reuse the gauss-level
-    cumulative for integrand evaluation.
+
+def amplitude_along(verts, eps: float) -> tuple[dict[int, np.ndarray], float]:
+    """A at the nodes of the 8- and 16-point Gauss rules on a contour.
+
+    One kernel sweep per contour: g = (i/eps)(L0 - l0) is evaluated at the
+    16 Gauss nodes of every segment of the vertex polyline `verts`; ln A at
+    the vertices follows from the 16-point weights, and at the nodes of both
+    rules from partial integrals of the degree-15 interpolant of g.  The
+    first vertex is reached by the straight route from 0.  A second sweep on
+    the bisected polyline supplies the values returned.  The error estimate
+    (relative, as for ln A) adds the gap between the two sweeps at the
+    vertices, the route's own estimate and the ladder allowance.
+
+    Returns ({8: A, 16: A}, est_error), each A in the node order of
+    gl_panels(verts, rule).ravel().  A polyline that meets a cut would carry
+    A onto another sheet, so it raises ContourClash.
     """
-    pts = np.asarray(points, dtype=complex)
-    lead = path_cumulative(_route_from_origin(complex(pts[0])), eps, refine=refine)
-    along = path_cumulative(pts, eps, side=side, refine=refine)
-    amps = np.exp(lead.lnA_points[-1] + along.lnA_points)
-    return amps, along
+    pts = np.asarray(verts, dtype=complex)
+    if _meets_cut(pts):
+        raise ContourClash("amplitude polyline meets a cut |Re p| >= 1 of the real axis")
+    lead = path_cumulative(_route_from_origin(complex(pts[0])), eps)
+    _, coarse, _ = _sweep(pts, eps, 0, 16, _B_WHOLE)
+    _, fine, at_halves = _sweep(bisect_polyline(pts), eps, 0, 16, _B_HALF)
+    segments = pts.size - 1
+    at_targets = at_halves.reshape(segments, 2, _TARGETS.size)[
+        :, _UPPER_HALF, np.arange(_TARGETS.size)
+    ]
+    amps = np.exp(lead.lnA_points[-1] + at_targets)
+    est = lead.est_error + float(np.max(np.abs(fine[0::2] - coarse))) + _LADDER_EST
+    return {8: amps[:, :8].ravel(), 16: amps[:, 8:].ravel()}, est

@@ -16,7 +16,11 @@ function of `branches`.  Outside the well, with xi = eps*(x - (1 - tau)),
     Psi_n = (-1)^{n+1} e^{it - i xi/2 - i eps (1-tau)/4} / sqrt(eps*pi)
             * int_C At(p) p e^{i St(p,tau,xi)/eps} dp,
     St = S + q0(p) xi,
-    At(p) = A(p) exp(-(i/eps) int_{p-eps/2}^p (L0(q) - l0(p)) dq).
+    At(p) = A(p - eps/2) exp(-(i/eps) [int_0^p l0 - int_0^{p-eps/2} l0
+                                       - (eps/2) l0(p)]),
+
+that is A on the contour shifted by -eps/2 (which must stay clear of the
+cuts, as the contour does) times a closed form.
 
 Any line e^{i theta} R with 0 < theta < pi/2 is an admissible contour; all
 choices give the same value, so the freedom is spent purely on numerical
@@ -68,7 +72,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._panels import bisect_polyline, gl_panels, gl_rule
+from ._panels import bisect_polyline, gl_panels
 from .branches import int_l0, l0, l0_prime, q0
 from .errors import ContourClash, TraceDiverged, TruncationTooSmall
 from .spectrum import (
@@ -80,8 +84,9 @@ from .spectrum import (
     tau_threshold,
 )
 from .symbolfield import (
-    _g_values,
+    _g_values,  # noqa: F401  (unused here; adiabench/tracing.py wraps it)
     _lnA_at_one,
+    _meets_cut,
     amplitude_along,
     path_cumulative,
     r_boundary,
@@ -194,16 +199,6 @@ def action_identities(n: int, tau: float) -> tuple[float, float]:
 # =====================================================================
 
 
-def _segment_hits_cut(a: complex, b: complex) -> bool:
-    """True if the straight segment a->b crosses the cuts |Re p| >= 1."""
-    if a.imag == 0.0 or b.imag == 0.0:
-        return False
-    if (a.imag > 0.0) == (b.imag > 0.0):
-        return False
-    t = a.imag / (a.imag - b.imag)
-    return abs(a.real + t * (b.real - a.real)) >= 1.0
-
-
 def _local_step(ev: ActionEval, eps: float) -> float:
     width = np.sqrt(eps / abs(ev.d2))
     return min(
@@ -254,7 +249,7 @@ def trace_steepest(
                     break
                 p = p - drift * np.conj(ev.d1) / abs(ev.d1) ** 2
                 ev = action(p, n, tau, xi=xi)
-            if _segment_hits_cut(prev, p):
+            if _meets_cut(np.array([prev, p])):
                 raise TraceDiverged("descent path attempted to cross a cut")
             pts.append(p)
             if ev.value.imag - im0 >= level * eps:
@@ -313,14 +308,17 @@ def _gl_nodes(verts: np.ndarray, rule: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _inside_weights(
-    verts: np.ndarray, n: int, tau: float, eps: float, rule: int
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Complex node weights W_j with Psi(x) = pref * sum_j W_j sin(p_j x)."""
-    nodes, w = _gl_nodes(verts, rule)
-    amps, along = amplitude_along(nodes, eps, refine=True)
-    act = action(nodes, n, tau)
-    weights = w * amps * np.exp(1j * act.value / eps)
-    return nodes, weights, float(along.est_error) + 2e-11
+    verts: np.ndarray, n: int, tau: float, eps: float
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], float]:
+    """Nodes p_j and complex weights W_j with Psi(x) = pref * sum_j W_j sin(p_j x),
+    for the 8- and 16-point rules, from one amplitude pass over the contour."""
+    amps, amp_est = amplitude_along(verts, eps)
+    rules = []
+    for rule in (8, 16):
+        nodes, w = _gl_nodes(verts, rule)
+        act = action(nodes, n, tau)
+        rules.append((nodes, w * amps[rule] * np.exp(1j * act.value / eps)))
+    return rules, amp_est
 
 
 # =====================================================================
@@ -583,8 +581,7 @@ def mode_inside(
             if method == "sd"
             else _ray_vertices(n, tau, eps)
         )
-        nodes8, w8, _ = _inside_weights(verts, n, tau, eps, 8)
-        nodes16, w16, amp_est = _inside_weights(verts, n, tau, eps, 16)
+        [(nodes8, w8), (nodes16, w16)], amp_est = _inside_weights(verts, n, tau, eps)
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -605,26 +602,6 @@ def mode_inside(
 # =====================================================================
 
 
-def _shift_integral(nodes: np.ndarray, eps: float) -> np.ndarray:
-    """int_{p - eps/2}^{p} (L0(q) - l0(p)) dq * (i/eps), node-batched.
-
-    Split as (L0 - l0)(q) plus (l0(q) - l0(p)); the second part integrates
-    in closed form through int_l0, the first reuses the smoothed-symbol
-    kernel batch.
-    """
-    x8, w8 = gl_rule(8)
-    mid = nodes - 0.25 * eps
-    qn = (mid[:, None] + 0.25 * eps * x8).ravel()
-    g = _g_values(qn, eps, 0).reshape(nodes.size, x8.size)
-    part_g = 0.25 * eps * (g @ w8)
-    part_l = (1j / eps) * (
-        np.asarray(int_l0(nodes))
-        - np.asarray(int_l0(nodes - 0.5 * eps))
-        - 0.5 * eps * np.asarray(l0(nodes))
-    )
-    return part_g + part_l
-
-
 def _outside_single(
     params: ModelParams, t: float, x: float
 ) -> tuple[complex, float]:
@@ -635,20 +612,22 @@ def _outside_single(
         raise ContourClash("mode_outside expects x >= 1 - eps*t; use mode_inside")
     xi = max(xi, 0.0)
     verts = trace_steepest(n, tau, eps, xi=xi)
+    # At(p) = A(p - eps/2) e^{-part_l(p)}: one amplitude pass on the shifted
+    # contour, which must stay clear of the cuts like the contour itself
+    amps, amp_est = amplitude_along(verts - 0.5 * eps, eps)
 
     results = []
-    amp_est = 0.0
     for rule in (8, 16):
         nodes, w = _gl_nodes(verts, rule)
-        amps, along = amplitude_along(nodes, eps, refine=True)
-        a_tilde = amps * np.exp(-_shift_integral(nodes, eps))
+        part_l = (1j / eps) * (
+            np.asarray(int_l0(nodes))
+            - np.asarray(int_l0(nodes - 0.5 * eps))
+            - 0.5 * eps * np.asarray(l0(nodes))
+        )
         act = action(nodes, n, tau, xi=xi)
-        weights = w * a_tilde * nodes * np.exp(1j * act.value / eps)
+        weights = w * amps[rule] * nodes * np.exp(1j * act.value / eps - part_l)
         results.append(weights.sum())
-        if rule == 16:
-            amp_est = (float(along.est_error) + 2e-11) * float(
-                np.sum(np.abs(weights))
-            )
+    amp_est *= float(np.sum(np.abs(weights)))
     pref = (-1.0) ** (n + 1) * np.exp(
         1j * t - 0.5j * xi - 0.25j * eps * (1.0 - tau)
     ) / np.sqrt(eps * np.pi)
@@ -661,7 +640,8 @@ def mode_outside(params: ModelParams, t: float, x) -> FieldSample:
     """Psi_n(x, t) past the well edge, by descent through p~_n(tau, xi).
 
     Each x carries its own stretched coordinate xi and therefore its own
-    saddle and contour, so the batch is evaluated point by point.
+    saddle and contour, so the batch is evaluated point by point.  A shifted
+    contour (module docstring) that meets a cut raises ContourClash.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     vals = np.empty(x_arr.shape, dtype=complex)

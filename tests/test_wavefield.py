@@ -15,7 +15,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from adiawell import symbolfield as sf
 from adiawell import wavefield as wfd
+from adiawell._panels import gl_rule
+from adiawell.branches import int_l0, l0
 from adiawell.errors import ContourClash, TraceDiverged
 from adiawell.spectrum import ModelParams, p_n, tau_threshold
 
@@ -209,6 +212,97 @@ def test_mode_solution_splits_regions():
     out = wfd.mode_outside(P02, -10.0, xs[2:])
     assert np.allclose(full.psi[:2], inn.psi, rtol=0, atol=1e-14)
     assert np.allclose(full.psi[2:], out.psi, rtol=0, atol=1e-14)
+
+
+# ---------------------------------------------------------------------
+# one amplitude pass per contour, and the exterior amplitude by identity
+# ---------------------------------------------------------------------
+
+
+def _contours(eps, tau=-1.2):
+    """Descent and ray contours inside, and an exterior contour shifted by
+    -eps/2, as the exterior field evaluates A on it."""
+    return {
+        "descent": wfd.trace_steepest(1, tau, eps),
+        "ray": wfd._ray_vertices(1, tau, eps),
+        "exterior": wfd.trace_steepest(1, tau, eps, xi=0.5 * eps) - 0.5 * eps,
+    }
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
+def test_amplitude_pass_agrees_with_independent_route(eps):
+    # amplitude_a integrates along its own straight route from 0; the gap
+    # to the contour pass, at nodes spread over each whole contour, stays
+    # within the sum of the two error estimates
+    for verts in _contours(eps).values():
+        amps, est = sf.amplitude_along(verts, eps)
+        for rule in (8, 16):
+            nodes, _ = wfd._gl_nodes(verts, rule)
+            for j in np.linspace(0, nodes.size - 1, 5).astype(int):
+                ref = sf.amplitude_a(nodes[j], eps)
+                gap = abs(amps[rule][j] / ref.value - 1.0)
+                assert gap <= est + ref.est_error
+
+
+def _old_shift_integral(nodes, eps):
+    """The exterior shift of ln A as a direct 8-point quadrature:
+    (i/eps) int_{p - eps/2}^{p} (L0(q) - l0(p)) dq at every node p."""
+    x8, w8 = gl_rule(8)
+    q = (nodes[:, None] - 0.25 * eps + 0.25 * eps * x8).ravel()
+    g = sf._g_values(q, eps, 0).reshape(nodes.size, x8.size)
+    part_l = (1j / eps) * (
+        np.asarray(int_l0(nodes))
+        - np.asarray(int_l0(nodes - 0.5 * eps))
+        - 0.5 * eps * np.asarray(l0(nodes))
+    )
+    return 0.25 * eps * (g @ w8) + part_l, part_l
+
+
+@pytest.mark.parametrize("eps,tau,xi", [(0.2, -2.0, 0.25), (0.1, -1.2, 0.05)])
+def test_shifted_amplitude_identity(eps, tau, xi):
+    # At(p) = A(p) e^{-shift(p)} = A(p - eps/2) e^{-part_l(p)}
+    verts = wfd.trace_steepest(1, tau, eps, xi=xi)
+    amps, _ = sf.amplitude_along(verts, eps)
+    shifted, _ = sf.amplitude_along(verts - 0.5 * eps, eps)
+    for rule in (8, 16):
+        nodes, _ = wfd._gl_nodes(verts, rule)
+        shift, part_l = _old_shift_integral(nodes, eps)
+        direct = amps[rule] * np.exp(-shift)
+        by_identity = shifted[rule] * np.exp(-part_l)
+        assert np.max(np.abs(by_identity / direct - 1.0)) < 2e-11
+
+
+def test_shifted_contour_meeting_the_cut_is_refused(monkeypatch):
+    # crossing the real axis at Re p in (-1, -1 + eps/2): the contour is
+    # admissible, its shift by -eps/2 crosses the cut (-inf, -1]
+    eps = 0.2
+    verts = np.array([-0.95 - 0.4j, -0.95 + 0.3j, 0.4 + 0.6j])
+    amps, _ = sf.amplitude_along(verts, eps)
+    assert np.all(np.isfinite(amps[16]))
+    with pytest.raises(ContourClash):
+        sf.amplitude_along(verts - 0.5 * eps, eps)
+    monkeypatch.setattr(wfd, "trace_steepest", lambda *args, **kwargs: verts)
+    with pytest.raises(ContourClash):
+        wfd.mode_outside(P02, -10.0, np.array([3.5]))
+
+
+def test_amplitude_work_per_contour(monkeypatch):
+    # L0 ladder points, counted where the kernel evaluates them; a count
+    # does not depend on the speed of the machine
+    count = [0]
+    raw = sf._l0_raw
+
+    def counted(z, side):
+        count[0] += np.size(z)
+        return raw(z, side)
+
+    monkeypatch.setattr(sf, "_l0_raw", counted)
+    t = -12.0  # eps = 0.1, n = 1, edge at 2.2
+    wfd.mode_outside(P01, t, np.array([2.7]))
+    assert count[0] <= 1_000_000
+    count[0] = 0
+    wfd.mode_inside(P01, t, np.linspace(0.0, 2.2, 200), method="sd")
+    assert count[0] <= 1_000_000
 
 
 # ---------------------------------------------------------------------
