@@ -298,7 +298,6 @@ _B6 = _partial_integral_matrix(gl_rule(6)[0], gl_rule(6)[0])
 # and x > 0 at 2x - 1 on the second.
 _TARGETS = np.concatenate([gl_rule(8)[0], gl_rule(16)[0]])
 _UPPER_HALF = (_TARGETS > 0.0).astype(int)
-_B_WHOLE = _partial_integral_matrix(gl_rule(16)[0], _TARGETS)
 _B_HALF = _partial_integral_matrix(gl_rule(16)[0], 2.0 * _TARGETS + 1.0 - 2.0 * _UPPER_HALF)
 
 
@@ -579,7 +578,7 @@ def amplitude_along(verts, eps: float) -> tuple[dict[int, np.ndarray], float]:
     if _meets_cut(pts):
         raise ContourClash("amplitude polyline meets a cut |Re p| >= 1 of the real axis")
     lead = path_cumulative(_route_from_origin(complex(pts[0])), eps)
-    _, coarse, _ = _sweep(pts, eps, 0, 16, _B_WHOLE)
+    _, coarse, _ = _sweep(pts, eps, 0, 16, np.empty((0, 16)))  # vertices only
     _, fine, at_halves = _sweep(bisect_polyline(pts), eps, 0, 16, _B_HALF)
     segments = pts.size - 1
     at_targets = at_halves.reshape(segments, 2, _TARGETS.size)[
