@@ -3,13 +3,10 @@
 Problem
 -------
 All contour work in this package happens in a complex momentum plane cut along
-the real rays |Re p| >= 1, Im p = 0 (domain ``C0``), or along (-inf, 1]
-(domain ``C1``).  The basic objects are
+the real rays |Re p| >= 1, Im p = 0 (domain ``C0``).  The basic objects are
 
 * ``q0(p)``   : the square root of p**2 - 1 fixed by q0(0) = +i,
 * ``l0(p)``   : the branch of 2*arcsin(p) with l0(0) = 0,
-* ``l1(p)``   : the continuation of l0 from the upper half plane across
-  (1, inf) down into the lower half plane (single valued on ``C1``),
 * ``rho0(p)`` : the reflection ratio (q0 - p)/(q0 + p),
 * ``int_l0(p)``: the antiderivative of l0 vanishing at 0.
 
@@ -30,10 +27,7 @@ along the right sets:
 * ``2*arcsin(p)`` is analytic off the same set and agrees with l0 on (-1, 1),
   hence everywhere on C0 by uniqueness of analytic continuation.
 
-Edge values are closed forms in arccosh, never sign-of-zero tricks.  The
-continuation l1 is l0 itself in the closed upper half plane and 2*pi - l0
-below the axis (Schwarz reflection across the boundary line Re l0 = pi, the
-image of the ray (1, inf)).
+Edge values are closed forms in arccosh, never sign-of-zero tricks.
 
 Conventions
 -----------
@@ -56,14 +50,9 @@ __all__ = [
     "q0",
     "l0",
     "l0_prime",
-    "l1",
-    "l1_prime",
     "int_l0",
     "rho0",
 ]
-
-_TWO_PI = 2.0 * np.pi
-
 
 # =====================================================================
 # argument normalization
@@ -114,12 +103,6 @@ def _l0_raw(z: np.ndarray, side) -> np.ndarray:
         edge = np.sign(x) * np.pi + 1j * sgn * half
         out = np.where(cut, edge, out)
     return out
-
-
-def _l1_raw(z: np.ndarray, side) -> np.ndarray:
-    upper = (z.imag > 0.0) | ((z.imag == 0.0) & ((z.real >= 1.0) | _upper(side)))
-    lz = _l0_raw(z, np.where(upper, 1, -1))
-    return np.where(upper, lz, _TWO_PI - lz)
 
 
 # =====================================================================
@@ -183,32 +166,4 @@ def rho0(p, side=0):
     _need_side((z.imag == 0.0) & (np.abs(z.real) > 1.0), side, "rho0")
     d = _q0_raw(z, side) - z
     out = -d * d
-    return complex(out) if scalar else out
-
-
-def l1(p, side=0):
-    """Continuation of l0 from Im p > 0 across (1, inf), single valued on C1.
-
-    Equals l0 for Im p >= 0 and 2*pi - l0 for Im p < 0; continuous on the ray
-    (1, inf) where both determinations give pi + 2i*arccosh(x).  The cut of l1
-    is (-inf, 1]; evaluating there requires a side tag.
-    """
-    z, side, scalar = _as_z_side(p, side)
-    _need_side((z.imag == 0.0) & (z.real < 1.0), side, "l1")
-    out = _l1_raw(z, side)
-    return complex(out) if scalar else out
-
-
-def l1_prime(p, side=0):
-    """Derivative of l1: 2i/q0 above the axis, -2i/q0 below.
-
-    On the ray (1, inf) both give 2i/sqrt(x**2 - 1).  Raises PoleAt at p = 1.
-    """
-    z, side, scalar = _as_z_side(p, side)
-    if np.any((z.imag == 0.0) & (z.real == 1.0)):
-        raise PoleAt("l1_prime has a square-root singularity at p = 1")
-    _need_side((z.imag == 0.0) & (z.real < 1.0), side, "l1_prime")
-    upper = (z.imag > 0.0) | ((z.imag == 0.0) & ((z.real >= 1.0) | _upper(side)))
-    base = _q0_raw(z, np.where(upper, 1, -1))
-    out = np.where(upper, 2j / base, -2j / base)
     return complex(out) if scalar else out

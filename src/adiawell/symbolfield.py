@@ -1,17 +1,16 @@
-"""The slow-drive resummation layer: L0, L1, their period part, and amplitudes.
+"""The slow-drive resummation layer: the smoothed branch function L0 and amplitudes.
 
 Problem
 -------
-The drive enters the exact mode integrals through functions defined by a
-smoothing of the branch functions over the fast scale eps:
+The drive enters the exact mode integrals through a smoothing of the branch
+function l0 over the fast scale eps:
 
-    L0(p) = (pi/2) * int sech^2(pi s) * l0(p + i eps s) ds        (same for l1)
+    L0(p) = (pi/2) * int sech^2(pi s) * l0(p + i eps s) ds
 
-which satisfy the difference equations L(p + eps/2) - L(p - eps/2) =
-eps * l'(p) and reduce to l0/l1 up to O(eps^2) away from the branch points.
-Derived objects: R0(p) = exp((i/eps) int_0^p L0), its boundary restriction,
-the amplitude A(p) = exp((i/eps) int_0^p (L0 - l0)), and the eps-periodic
-difference P = L0 - L1 in the upper half plane.
+which satisfies the difference equation L0(p + eps/2) - L0(p - eps/2) =
+eps * l0'(p) and reduces to l0 up to O(eps^2) away from the branch points.
+Derived objects: R0(p) = exp((i/eps) int_0^p L0), with its values on the
+real cuts, and the amplitude A(p) = exp((i/eps) int_0^p (L0 - l0)).
 
 Evaluation strategy
 -------------------
@@ -22,9 +21,8 @@ Evaluation strategy
   s = +-i/2, the branch-point preimages at vertical distance
   (1 - |Re p|)/eps).
 * When the straight contour would cross a cut (|Re p| >= 1 with
-  |Im p| <~ 6.5 eps for L0; Re p <= 1 for L1), the evaluation point is
-  relocated horizontally by an integer number of eps steps using the exact
-  difference equation, e.g.
+  |Im p| <~ 6.5 eps), the evaluation point is relocated horizontally by an
+  integer number of eps steps using the exact difference equation, e.g.
 
       L0(p) = L0(p - M eps) + eps * sum_{j=1..M} l0'(p - (j - 1/2) eps),
 
@@ -44,8 +42,7 @@ Evaluation strategy
   contour - is computed by quadrature on one eps-period past p = 1 and then
   propagated exactly by A(p + eps) = rho0(p + eps/2) A(p) *
   exp((i/eps)(int_l0(p) - int_l0(p + eps))), which follows from the R0
-  difference equation.  The period part P is Fourier-analyzed on a line at
-  height eps/2 where its coefficients are still above the quadrature noise.
+  difference equation.
 
 All heavy entry points are vectorized over arrays of evaluation points and
 share one batched kernel call; scalar wrappers return a QuadratureReport with
@@ -62,17 +59,13 @@ import numpy as np
 from numpy.polynomial.legendre import legint, legvander
 
 from ._panels import bisect_polyline, gl_panels, gl_rule
-from .branches import _l0_raw, _l1_raw, int_l0, l0_prime, l1_prime, rho0
+from .branches import _l0_raw, int_l0, l0_prime, rho0
 from .errors import ContourClash, QuadratureFailure
 
 __all__ = [
     "QuadratureReport",
     "big_l0",
-    "big_l1",
-    "periodic_p",
-    "periodic_p_fourier",
     "r0",
-    "r_boundary",
     "amplitude_a",
     "amplitude_along",
     "upper_edge_amplitude",
@@ -105,31 +98,26 @@ _EDGE_PART_SLOTS = 4096
 
 @dataclass(frozen=True)
 class QuadratureReport:
-    """Value of a quadrature together with an error estimate and node count."""
+    """Value of a quadrature together with an error estimate."""
 
     value: complex
     est_error: float
-    nodes_used: int
 
 
 # =====================================================================
-# batched kernel evaluation of L0 / L1
+# batched kernel evaluation of L0
 # =====================================================================
 
 
-def _family_raw(fam: int):
-    return _l0_raw if fam == 0 else _l1_raw
-
-
-def _kernel_straight(fam: int, z: np.ndarray, eps: float, side) -> np.ndarray:
+def _kernel_straight(z: np.ndarray, eps: float, side) -> np.ndarray:
     """Trapezoid ladder for anchors whose vertical contour clears the cuts."""
     args = z[:, None] + 1j * eps * _S_GRID[None, :]
     side_b = np.broadcast_to(np.asarray(side), z.shape)[:, None]
-    vals = _family_raw(fam)(args, np.broadcast_to(side_b, args.shape))
+    vals = _l0_raw(args, np.broadcast_to(side_b, args.shape))
     return vals @ _KERNEL_W
 
 
-def _kernel_graded(fam: int, z: complex, eps: float, side: int, d_s: float, c: float) -> complex:
+def _kernel_graded(z: complex, eps: float, side: int, d_s: float, c: float) -> complex:
     """Panel ladder for collar anchors: graded toward the singular column c."""
     sigma = max(d_s, 1e-4)
     cuts = {-_S_MAX, _S_MAX}
@@ -153,46 +141,36 @@ def _kernel_graded(fam: int, z: complex, eps: float, side: int, d_s: float, c: f
         s += 1.0
     nodes, weights = gl_panels(np.array(sorted(cuts)), 16)
     args = z + 1j * eps * nodes
-    vals = _family_raw(fam)(args, np.full(args.shape, side))
+    vals = _l0_raw(args, np.full(args.shape, side))
     kern = 0.5 * np.pi / np.cosh(np.pi * nodes) ** 2
     return complex(np.sum(weights * kern * vals))
 
 
-def _big_l_values(fam: int, p, eps: float, side=0) -> np.ndarray:
-    """L0 (fam=0) or L1 (fam=1) on an array of points, cuts handled exactly."""
+def _big_l_values(p, eps: float, side=0) -> np.ndarray:
+    """L0 on an array of points, cuts handled exactly."""
     z = np.atleast_1d(np.asarray(p, dtype=complex)).copy()
     side_arr = np.broadcast_to(np.asarray(side), z.shape).copy()
     a, b = z.real, z.imag
 
-    if fam == 0:
-        crossing = (np.abs(a) >= 1.0) & (np.abs(b) <= _CROSS_S * eps)
-        sgn = np.where(a >= 0.0, 1.0, -1.0)
-        m_steps = np.where(crossing, np.ceil((np.abs(a) - 0.5) / eps), 0).astype(int)
-    else:
-        crossing = (a <= 1.0) & (np.abs(b) <= _CROSS_S * eps)
-        sgn = np.where(crossing, -1.0, 1.0)  # always shift right
-        m_steps = np.where(crossing, np.ceil((1.5 - a) / eps), 0).astype(int)
+    crossing = (np.abs(a) >= 1.0) & (np.abs(b) <= _CROSS_S * eps)
+    sgn = np.where(a >= 0.0, 1.0, -1.0)
+    m_steps = np.where(crossing, np.ceil((np.abs(a) - 0.5) / eps), 0).astype(int)
 
     # telescoping the difference equation: with anchor q = p - s M eps,
-    # L(p) = L(q) + s * eps * sum_{j=1..M} l'(p - s (j - 1/2) eps)
+    # L0(p) = L0(q) + s * eps * sum_{j=1..M} l0'(p - s (j - 1/2) eps)
     corr = np.zeros_like(z)
     if np.any(crossing):
-        deriv = l0_prime if fam == 0 else l1_prime
         m_max = int(m_steps.max())
         for j in range(1, m_max + 1):
             mask = m_steps >= j
             mids = z[mask] - sgn[mask] * (j - 0.5) * eps
-            corr[mask] += sgn[mask] * eps * np.asarray(deriv(mids, side_arr[mask]))
+            corr[mask] += sgn[mask] * eps * np.asarray(l0_prime(mids, side_arr[mask]))
         z = z - sgn * m_steps * eps
         a = z.real
 
     # analyticity margin of the straight ladder, in s units
-    if fam == 0:
-        d_s = np.where(np.abs(a) < 1.0, (1.0 - np.abs(a)) / eps, np.inf)
-        col = -b / eps
-    else:
-        d_s = np.where(a > 1.0, (a - 1.0) / eps, np.inf)
-        col = -b / eps
+    d_s = np.where(np.abs(a) < 1.0, (1.0 - np.abs(a)) / eps, np.inf)
+    col = -b / eps
     # the graded ladder only pays off while the singular column still carries
     # kernel weight; past _CROSS_S eps from the axis that weight is ~1e-17
     collar = (d_s < _COLLAR_D) & (np.abs(b) <= _CROSS_S * eps)
@@ -200,78 +178,29 @@ def _big_l_values(fam: int, p, eps: float, side=0) -> np.ndarray:
     out = np.zeros_like(z)
     regular = ~collar
     if np.any(regular):
-        out[regular] = _kernel_straight(fam, z[regular], eps, side_arr[regular])
+        out[regular] = _kernel_straight(z[regular], eps, side_arr[regular])
     for idx in np.nonzero(collar)[0]:
         out[idx] = _kernel_graded(
-            fam, complex(z[idx]), eps, int(side_arr[idx]), float(d_s[idx]), float(col[idx])
+            complex(z[idx]), eps, int(side_arr[idx]), float(d_s[idx]), float(col[idx])
         )
     return out + corr
 
 
 def big_l0(p, eps: float, side=0) -> QuadratureReport:
     """Smoothed branch function L0(p); see module docstring for the method."""
-    val = _big_l_values(0, p, eps, side)
-    est = _estimate_l_error(0, p, eps)
-    return QuadratureReport(complex(val[0]), est, _S_GRID.size)
+    val = _big_l_values(p, eps, side)
+    return QuadratureReport(complex(val[0]), _estimate_l_error(p, eps))
 
 
-def big_l1(p, eps: float, side=0) -> QuadratureReport:
-    """Smoothed continuation L1(p) on the plane cut along (-inf, 1]."""
-    val = _big_l_values(1, p, eps, side)
-    est = _estimate_l_error(1, p, eps)
-    return QuadratureReport(complex(val[0]), est, _S_GRID.size)
-
-
-def _estimate_l_error(fam: int, p, eps: float) -> float:
-    a = abs(float(np.real(p))) if fam == 0 else float(np.real(p))
+def _estimate_l_error(p, eps: float) -> float:
+    a = abs(float(np.real(p)))
     b = abs(float(np.imag(p)))
-    if fam == 0:
-        inside = a < 1.0
-        margin = (1.0 - a) / eps if inside else np.inf
-        relocated = (a >= 1.0) and (b <= _CROSS_S * eps)
-    else:
-        margin = (a - 1.0) / eps if a > 1.0 else np.inf
-        relocated = (a <= 1.0) and (b <= _CROSS_S * eps)
-    if relocated:
+    margin = (1.0 - a) / eps if a < 1.0 else np.inf
+    if (a >= 1.0) and (b <= _CROSS_S * eps):  # relocated
         return _REGULAR_EST + 1e-15 * (a + 1.0) / eps
     if margin < _COLLAR_D:
         return _COLLAR_EST
     return _REGULAR_EST
-
-
-# =====================================================================
-# the eps-periodic part P = L0 - L1
-# =====================================================================
-
-
-def periodic_p(p, eps: float) -> QuadratureReport:
-    """P(p) = L0(p) - L1(p), analytic and eps-periodic for Im p > 0."""
-    if float(np.imag(p)) <= 0.0:
-        raise ContourClash("periodic part is defined in the open upper half plane")
-    v0 = _big_l_values(0, p, eps)
-    v1 = _big_l_values(1, p, eps)
-    return QuadratureReport(complex(v0[0] - v1[0]), 2 * _REGULAR_EST, 2 * _S_GRID.size)
-
-
-def periodic_p_fourier(eps: float, k_max: int = 6) -> np.ndarray:
-    """First k_max Fourier coefficients P_k of P on its period.
-
-    Sampling happens on the line Im p = eps/2, where the coefficients are
-    damped by exp(-pi k) but the quadrature noise (~1e-13) is still far below
-    them for k <= 8; past that the extraction is hopeless and ValueError says
-    so.  Returns the array [P_1, ..., P_k_max] in the convention
-    P(p) = sum_k P_k exp(2 pi i k (p - 1 - eps/2) / eps).
-    """
-    if not 1 <= k_max <= 8:
-        raise ValueError("k_max must be between 1 and 8 (noise floor)")
-    m = 256
-    height = 0.5 * eps
-    base = 1.0 + 0.5 * eps + 1j * height
-    samples = base + eps * np.arange(m) / m
-    vals = _big_l_values(0, samples, eps) - _big_l_values(1, samples, eps)
-    coef = np.fft.fft(vals) / m
-    k = np.arange(1, k_max + 1)
-    return coef[1 : k_max + 1] * np.exp(2.0 * np.pi * k * height / eps)
 
 
 # =====================================================================
@@ -309,7 +238,6 @@ class PathQuadrature:
     amplitude evaluation at the integrand nodes of the outer mode integral.
     """
 
-    points: np.ndarray
     gauss: np.ndarray
     lnA_points: np.ndarray
     lnA_gauss: np.ndarray
@@ -321,7 +249,7 @@ def _g_values(q: np.ndarray, eps: float, side) -> np.ndarray:
     shape = q.shape
     flat = q.ravel()
     side_flat = np.broadcast_to(np.asarray(side), shape).ravel()
-    big = _big_l_values(0, flat, eps, side_flat)
+    big = _big_l_values(flat, eps, side_flat)
     small = _l0_raw(flat, side_flat)
     return ((1j / eps) * (big - small)).reshape(shape)
 
@@ -354,10 +282,10 @@ def path_cumulative(
         raise ValueError("need at least two polyline vertices")
     gauss, coarse, at_gauss = _sweep(pts, eps, side, 6, _B6)
     if not refine:
-        return PathQuadrature(pts, gauss, coarse, at_gauss, 0.0)
+        return PathQuadrature(gauss, coarse, at_gauss, 0.0)
     gauss, fine, at_gauss = _sweep(bisect_polyline(pts), eps, side, 6, _B6)
     est = float(np.max(np.abs(fine[0::2] - coarse)))
-    return PathQuadrature(pts, gauss, fine[0::2], at_gauss, est)
+    return PathQuadrature(gauss, fine[0::2], at_gauss, est)
 
 
 def _route_from_origin(p: complex) -> np.ndarray:
@@ -392,41 +320,28 @@ def amplitude_a(p, eps: float) -> QuadratureReport:
     """
     z = complex(p)
     if z == 0.0:
-        return QuadratureReport(1.0 + 0.0j, 0.0, 0)
+        return QuadratureReport(1.0 + 0.0j, 0.0)
     if z.imag == 0.0 and z.real >= 1.0:
         val = upper_edge_amplitude(eps, np.array([z.real]))[0]
-        return QuadratureReport(complex(val), 5e-10, 0)
+        return QuadratureReport(complex(val), 5e-10)
     path = path_cumulative(_route_from_origin(z), eps)
     return QuadratureReport(
-        complex(np.exp(path.lnA_points[-1])),
-        float(2.0 * path.est_error) + _LADDER_EST,
-        path.gauss.size,
+        complex(np.exp(path.lnA_points[-1])), float(2.0 * path.est_error) + _LADDER_EST
     )
 
 
 def r0(p, eps: float) -> QuadratureReport:
-    """R0(p) = exp((i/eps) int_0^p L0) = A(p) exp((i/eps) int_l0(p))."""
+    """R0(p) = exp((i/eps) int_0^p L0) = A(p) exp((i/eps) int_l0(p)).
+
+    R0 is even; on the real cuts |p| >= 1 it takes its upper-edge value at |p|.
+    """
     z = complex(p)
+    side = 0
     if z.imag == 0.0 and abs(z.real) >= 1.0:
-        x = abs(z.real)  # R0 is even
-        amp = upper_edge_amplitude(eps, np.array([x]))[0]
-        val = amp * np.exp(1j / eps * int_l0(x, side=1))
-        return QuadratureReport(complex(val), 5e-10, 0)
+        z, side = complex(abs(z.real)), 1
     rep = amplitude_a(z, eps)
-    val = rep.value * np.exp(1j / eps * int_l0(z))
-    return QuadratureReport(complex(val), rep.est_error, rep.nodes_used)
-
-
-def r_boundary(p, eps: float) -> QuadratureReport:
-    """Boundary values of R0 on the real axis (upper edge, evenness used)."""
-    x = abs(float(np.real(p)))
-    if float(np.imag(p)) != 0.0:
-        raise ContourClash("r_boundary is the real-axis restriction; use r0 off axis")
-    if x < 1.0:
-        return r0(x, eps)
-    amp = upper_edge_amplitude(eps, np.array([x]))[0]
-    val = amp * np.exp(1j / eps * int_l0(x, side=1))
-    return QuadratureReport(complex(val), 5e-10, 0)
+    val = rep.value * np.exp(1j / eps * int_l0(z, side=side))
+    return QuadratureReport(complex(val), rep.est_error)
 
 
 # =====================================================================

@@ -89,7 +89,7 @@ from .symbolfield import (
     _meets_cut,
     amplitude_along,
     path_cumulative,
-    r_boundary,
+    r0,
     upper_edge_amplitude,
 )
 
@@ -819,8 +819,8 @@ def scattering_residuals(p: float, eps: float) -> tuple[float, float]:
     These encode continuity of the lattice sum at the well edge pair by
     pair; they hold exactly, so the residuals measure quadrature noise.
     """
-    r_here = r_boundary(p, eps).value
-    r_next = r_boundary(p + eps, eps).value
+    r_here = r0(abs(p), eps).value
+    r_next = r0(abs(p + eps), eps).value
     t_fac = outgoing_factor(p, eps)
     p1 = outgoing_momentum(p, eps)
     rhs = 2j * np.exp(-1j / eps) * t_fac * r_here

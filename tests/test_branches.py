@@ -17,8 +17,6 @@ from adiawell.branches import (
     int_l0,
     l0,
     l0_prime,
-    l1,
-    l1_prime,
     q0,
     rho0,
 )
@@ -212,31 +210,6 @@ def test_l0_large_p_log_growth():
     assert np.all(err < 10.0 / ys**2)
 
 
-def test_l1_agreement_and_jump():
-    # continuous across (1, inf): both edges coincide there
-    assert abs(l1(2.0, side=1) - l1(2.0, side=-1)) == 0.0
-    assert abs(l1(2.0, side=1) - l0(2.0, side=1)) < 1e-15
-    # equals l0 in the upper half plane, 2*pi - l0 in the lower
-    z = 1.3 + 0.4j
-    assert l1(z) == l0(z)
-    z = 1.3 - 0.4j
-    assert abs(l1(z) - (2.0 * np.pi - l0(z))) < 1e-15
-    # vertical continuity through the ray at x = 2
-    eps = 1e-7
-    up, dn = l1(2.0 + 1j * eps), l1(2.0 - 1j * eps)
-    assert abs(up - dn) < 1e-6
-
-
-def test_l1_prime_matches_finite_difference_below_axis():
-    z = 2.5 - 0.8j
-    h = 1e-6
-    fd = (l1(z + h) - l1(z - h)) / (2 * h)
-    assert abs(fd - l1_prime(z)) < 1e-8
-    xs = np.linspace(1.5, 4.0, 7)
-    fd = (l1(xs + h, side=1) - l1(xs - h, side=1)) / (2 * h)
-    assert np.max(np.abs(fd - l1_prime(xs, side=1))) < 1e-8
-
-
 # ---------------------------------------------------------------------
 # error behavior
 # ---------------------------------------------------------------------
@@ -248,16 +221,12 @@ def test_cut_requires_side_tag():
     with pytest.raises(BranchViolation):
         l0(np.array([0.5, -3.0]))
     with pytest.raises(BranchViolation):
-        l1(0.5)
-    with pytest.raises(BranchViolation):
         int_l0(-1.5)
 
 
 def test_poles_raise():
     with pytest.raises(PoleAt):
         l0_prime(1.0)
-    with pytest.raises(PoleAt):
-        l1_prime(1.0)
 
 
 def test_cxpoint_edges():

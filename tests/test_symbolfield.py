@@ -5,7 +5,7 @@ straight-ladder kernel integrals by mp.quad on [-14, 14] (interior and
 post-relocation anchors, relocation corrections summed in mpmath), and the
 nested R0 value by a 20-digit double quadrature of the kernel inside the
 path integral.  Everything else is checked against defining identities
-(difference equations, symmetry laws, periodicity) or scaling forms whose
+(difference equations, symmetry laws) or scaling forms whose
 constants the tests measure rather than assume.
 """
 
@@ -15,14 +15,13 @@ import numpy as np
 import pytest
 
 from adiawell import symbolfield as sf
-from adiawell.branches import int_l0, l0, l0_prime, l1, l1_prime, rho0
+from adiawell.branches import int_l0, l0, l0_prime, rho0
 from adiawell.errors import ContourClash, QuadratureFailure
 from adiawell.special import zeta_fn
 
 # mpmath references (see module docstring)
 L0_INTERIOR_REF = 0.5611473420277146809637 + 0.8098801341855701512976j  # p=0.3+0.4j, eps=0.1
 L0_RELOCATED_REF = 3.006308680843562636191 + 2.140589985995586533438j  # p=1.7+0.02j, eps=0.1
-L1_STRAIGHT_REF = 2.586260038831931242297 + 2.72381167473987364032j  # p=2.0+0.5j, eps=0.1
 R0_NESTED_REF = -0.00029317010883591661691 + 0.00047730702917243011217j  # p=0.5+0.8j, eps=0.1
 
 
@@ -35,17 +34,11 @@ def test_big_l0_interior_reference():
     rep = sf.big_l0(0.3 + 0.4j, 0.1)
     assert abs(rep.value - L0_INTERIOR_REF) < 1e-10
     assert rep.est_error < 1e-8
-    assert rep.nodes_used > 0
 
 
 def test_big_l0_relocated_reference():
     rep = sf.big_l0(1.7 + 0.02j, 0.1)
     assert abs(rep.value - L0_RELOCATED_REF) < 1e-10
-
-
-def test_big_l1_straight_reference():
-    rep = sf.big_l1(2.0 + 0.5j, 0.1)
-    assert abs(rep.value - L1_STRAIGHT_REF) < 1e-9
 
 
 # ---------------------------------------------------------------------
@@ -73,14 +66,6 @@ def test_l0_difference_equation_on_upper_edge():
         assert abs(lhs - rhs) < 1e-9 * (1.0 + abs(rhs))
 
 
-@pytest.mark.parametrize("eps", [0.1, 0.05])
-def test_l1_difference_equation(eps):
-    for p in [2.0 + 0.5j, 0.3 + 0.2j, -1.2 + 0.04j, 1.05 + 0.3j, 0.7 - 0.6j]:
-        lhs = sf.big_l1(p + eps / 2, eps).value - sf.big_l1(p - eps / 2, eps).value
-        rhs = eps * l1_prime(p)
-        assert abs(lhs - rhs) < 1e-9 * (1.0 + abs(rhs))
-
-
 # ---------------------------------------------------------------------
 # symmetries and limits
 # ---------------------------------------------------------------------
@@ -99,16 +84,13 @@ def test_l0_symmetries():
         assert abs(sf.big_l0(1j * y, eps).value.real) < 1e-13  # imaginary on the axis
 
 
-def test_l0_l1_approach_branch_functions_at_order_eps2():
+def test_l0_approaches_branch_function_at_order_eps2():
     pts = [0.3 + 0.4j, -0.5 + 1.0j, 2.0 + 1.5j]
     for p in pts:
         d1 = abs(sf.big_l0(p, 0.1).value - l0(p))
         d2 = abs(sf.big_l0(p, 0.05).value - l0(p))
         assert d2 < d1
         assert 3.5 < d1 / d2 < 4.5  # halving eps quarters the defect
-    d1 = abs(sf.big_l1(2.5 + 1.0j, 0.1).value - l1(2.5 + 1.0j))
-    d2 = abs(sf.big_l1(2.5 + 1.0j, 0.05).value - l1(2.5 + 1.0j))
-    assert 3.5 < d1 / d2 < 4.5
 
 
 def test_l0_scaling_form_near_branch_point():
@@ -121,37 +103,6 @@ def test_l0_scaling_form_near_branch_point():
     # the scaled defect is a single constant across octaves (measured ~0.047)
     assert max(defects) < 0.2
     assert max(defects) / min(defects) < 1.2
-
-
-# ---------------------------------------------------------------------
-# the periodic part
-# ---------------------------------------------------------------------
-
-
-def test_periodic_part_periodicity_and_leading_coefficient():
-    for eps in [0.1, 0.05]:
-        p = 1.37 + 0.6j * eps
-        base = sf.periodic_p(p, eps).value
-        assert abs(sf.periodic_p(p + eps, eps).value - base) < 1e-10
-        assert abs(sf.periodic_p(p + 7 * eps, eps).value - base) < 1e-10
-        coeffs = sf.periodic_p_fourier(eps, 4)
-        k = np.arange(1, 5)
-        pred = 2.0 * np.exp(1j * np.pi / 4) * np.sqrt(eps / k)
-        rel = np.abs(coeffs / pred - 1.0)
-        assert np.all(rel < 0.05 * eps / k + 1e-8)
-
-
-def test_periodic_coefficients_depend_on_eps_over_k_only():
-    c_half = sf.periodic_p_fourier(0.05, 1)[0]
-    c_two = sf.periodic_p_fourier(0.1, 2)[1]
-    assert abs(c_half - c_two) < 1e-8 * abs(c_half)
-
-
-def test_periodic_part_requires_upper_half_plane():
-    with pytest.raises(ContourClash):
-        sf.periodic_p(1.3 - 0.2j, 0.1)
-    with pytest.raises(ValueError):
-        sf.periodic_p_fourier(0.1, 9)
 
 
 # ---------------------------------------------------------------------
@@ -236,15 +187,15 @@ def test_upper_edge_continuity_from_above():
 def test_boundary_r_decays_superexponentially():
     eps = 0.1
     xs = np.array([1.0 + 0.3 * eps, 1.0 + 0.3 * eps + 5 * eps, 1.0 + 0.3 * eps + 10 * eps])
-    mags = np.array([abs(sf.r_boundary(x, eps).value) for x in xs])
+    mags = np.array([abs(sf.r0(x, eps).value) for x in xs])
     assert mags[0] < 1.0
     assert mags[1] < 0.05 * mags[0]
     assert mags[2] < 0.05 * mags[1]
     # the decay exponent is the edge phase volume; amplitude stays O(1)
     amps = np.abs(sf.upper_edge_amplitude(eps, xs))
     assert np.all((amps > 0.3) & (amps < 3.0))
-    # evenness of the boundary restriction
-    assert abs(sf.r_boundary(-xs[0], eps).value - sf.r_boundary(xs[0], eps).value) == 0.0
+    # R0 is exactly even on the cuts
+    assert abs(sf.r0(-xs[0], eps).value - sf.r0(xs[0], eps).value) == 0.0
 
 
 def test_eps_memo_stays_within_its_bound():
@@ -265,8 +216,6 @@ def test_eps_memo_stays_within_its_bound():
 def test_contour_guards():
     with pytest.raises(ContourClash):
         sf.upper_edge_amplitude(0.1, np.array([0.8]))
-    with pytest.raises(ContourClash):
-        sf.r_boundary(1.5 + 0.2j, 0.1)
     with pytest.raises(QuadratureFailure):
         sf._int_g_first_period(0.1, np.array([0.5 * 0.1]))
     with pytest.raises(ContourClash):
