@@ -82,6 +82,9 @@ _COLLAR_D = 0.45      # s-plane analyticity margin below which panels grade
 
 _S_GRID = np.arange(-int(round(_S_MAX / _S_STEP)), int(round(_S_MAX / _S_STEP)) + 1) * _S_STEP
 _KERNEL_W = 0.5 * np.pi * _S_STEP / np.cosh(np.pi * _S_GRID) ** 2
+# the kernel integrates to 1; the ladder's own sum is 1 + 2.9e-12, an error
+# every L0 value would carry in proportion to |L0|
+_KERNEL_W /= _KERNEL_W.sum()
 
 _REGULAR_EST = 5e-12
 _COLLAR_EST = 2e-9

@@ -2,7 +2,9 @@
 
 Reference values were generated independently with mpmath at 20-30 digits:
 straight-ladder kernel integrals by mp.quad on [-14, 14] (interior and
-post-relocation anchors, relocation corrections summed in mpmath), and the
+post-relocation anchors, relocation corrections summed in mpmath), kernel
+integrals by mp.quad on the whole line split at the singular column
+(interior and collar points), and the
 nested R0 value by a 20-digit double quadrature of the kernel inside the
 path integral.  Everything else is checked against defining identities
 (difference equations, symmetry laws) or scaling forms whose
@@ -23,6 +25,23 @@ from adiawell.special import zeta_fn
 L0_INTERIOR_REF = 0.5611473420277146809637 + 0.8098801341855701512976j  # p=0.3+0.4j, eps=0.1
 L0_RELOCATED_REF = 3.006308680843562636191 + 2.140589985995586533438j  # p=1.7+0.02j, eps=0.1
 R0_NESTED_REF = -0.00029317010883591661691 + 0.00047730702917243011217j  # p=0.5+0.8j, eps=0.1
+# straight-ladder and collar points, 30 digits (40 digits agree to 1e-30)
+L0_LADDER_REFS = {
+    (0.8 + 0.05j, 0.2): 1.835301832463188497091 + 0.1616922320604303181053j,
+    (0.8 + 0.05j, 0.1): 1.842833143068102836045 + 0.1644137500471479635885j,
+    (0.8 + 0.05j, 0.05): 1.844836103598903691262 + 0.1652015116955643942389j,
+    (0.9 + 0.3j, 0.2): 1.869207712017601977468 + 0.9633377743379861187604j,
+    (0.9 + 0.3j, 0.1): 1.867451272456894091995 + 0.9682306977205391708957j,
+    (0.9 + 0.3j, 0.05): 1.866982676135382569233 + 0.9694032338286380412963j,
+    (-0.6 + 1.2j, 0.2): -0.7532123054384690514674 + 2.144058355493547082599j,
+    (-0.6 + 1.2j, 0.1): -0.7528540965617778554036 + 2.144812550091381410039j,
+    (-0.6 + 1.2j, 0.05): -0.7527644761470450586667 + 2.145000781618203722251j,
+    (0.5 + 2.0j, 0.2): 0.4422403979964368568863 + 2.930879137048494030414j,
+    (0.5 + 2.0j, 0.1): 0.4420880171878093971796 + 2.931292892045529387295j,
+    (0.5 + 2.0j, 0.05): 0.4420499554908963974265 + 2.931396255913992371605j,
+    (0.97 + 0.02j, 0.1): 2.601197338566070174397 + 0.1384758806083356961077j,
+    (-0.99 + 0.02j, 0.05): -2.776076092645020862722 + 0.2032526958827584890043j,
+}
 
 
 # ---------------------------------------------------------------------
@@ -34,6 +53,12 @@ def test_big_l0_interior_reference():
     rep = sf.big_l0(0.3 + 0.4j, 0.1)
     assert abs(rep.value - L0_INTERIOR_REF) < 1e-10
     assert rep.est_error < 1e-8
+
+
+def test_big_l0_error_is_within_its_estimate():
+    for (p, eps), ref in L0_LADDER_REFS.items():
+        rep = sf.big_l0(p, eps)
+        assert abs(rep.value - ref) <= rep.est_error, (p, eps)
 
 
 def test_big_l0_relocated_reference():
