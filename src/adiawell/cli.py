@@ -368,8 +368,8 @@ def _cmd_oracle(args) -> tuple[list[str], list[list]]:
             if args.snap == "nearest-node" else oracle.SnapPolicy.CELL_AVERAGE)
     grid = oracle.GridSpec(x_max=x_max, nx=nx, dt=dt, snap_policy=snap)
     report = oracle.propagate_report(params, args.t0, args.t1, grid)
-    return ["deviation", "norm_drift", "runtime_ms"], [
-        [report.deviation, report.norm_drift, report.runtime_ms]
+    return ["deviation", "norm_drift", "runtime_ms", "boundary_amp"], [
+        [report.deviation, report.norm_drift, report.runtime_ms, report.boundary_amp]
     ]
 
 

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import adiawell
-from adiawell import branches, spectrum
+from adiawell import branches, spectrum, symbolfield
 from adiawell.cli import run
 
 try:
@@ -30,6 +30,8 @@ except ModuleNotFoundError:  # standard library from Python 3.11 on
     tomllib = None
 
 REGIMES = {"adiabatic", "transition", "aftermath"}
+# R0(0.5+0.8j) at eps=0.1 by mpmath (the reference of test_symbolfield.py)
+R0_NESTED_REF = -0.00029317010883591661691 + 0.00047730702917243011217j
 
 
 def _rows(path):
@@ -78,6 +80,30 @@ def test_special_zeta_accepts_negative_points(tmp_path):
 
 def test_special_big_l0_needs_eps():
     assert run(["special", "--fn", "L0", "--z", "0.5"]) == 2
+
+
+def _complex_rows(path):
+    return [complex(float(r), float(i)) for r, i in _rows(path)[1]]
+
+
+def test_special_big_l0_on_the_upper_edge(tmp_path):
+    out = tmp_path / "L0.csv"
+    assert run(["special", "--fn", "L0", "--z", "1.5", "--side", "1",
+                "--eps", "0.1", "--out", str(out)]) == 0
+    assert _complex_rows(out) == [symbolfield.big_l0(1.5, 0.1, side=1).value]
+
+
+def test_special_r0_on_the_cuts_and_off_axis(tmp_path):
+    out = tmp_path / "R0.csv"
+    assert run(["special", "--fn", "R0", "--z=-1.3,1.3", "--eps", "0.1",
+                "--out", str(out)]) == 0
+    left, right = _complex_rows(out)
+    assert left == right  # R0 is even
+    assert abs(right) < 1.0  # and decays along the cut
+    assert run(["special", "--fn", "R0", "--z", "0.5+0.8j", "--eps", "0.1",
+                "--out", str(out)]) == 0
+    [value] = _complex_rows(out)
+    assert abs(value - R0_NESTED_REF) / abs(R0_NESTED_REF) < 1e-9
 
 
 # =====================================================================
@@ -184,11 +210,12 @@ def test_oracle_trivial_window_csv(tmp_path):
                 "--dt", "0.01", "--out", str(out)])
     assert code == 0
     header, rows = _rows(out)
-    assert header == ["deviation", "norm_drift", "runtime_ms"]
+    assert header == ["deviation", "norm_drift", "runtime_ms", "boundary_amp"]
     assert len(rows) == 1
     assert float(rows[0][0]) == 0.0
     assert float(rows[0][1]) == 0.0
     assert float(rows[0][2]) >= 0.0
+    assert float(rows[0][3]) == 0.0  # no step taken, nothing reached the wall
 
 
 def test_oracle_rejects_reversed_window():
