@@ -42,7 +42,11 @@ Evaluation strategy
   contour - is computed by quadrature on one eps-period past p = 1 and then
   propagated exactly by A(p + eps) = rho0(p + eps/2) A(p) *
   exp((i/eps)(int_l0(p) - int_l0(p + eps))), which follows from the R0
-  difference equation.
+  difference equation.  The first-period integrals of every target come
+  from one pass through the upper half plane: a shared leg up from 1, one
+  polyline across through all targets (a cumulative sum gives each value)
+  and one short descent per target, graded only as finely as the distance
+  to the nearest singularity on the edge asks for.
 
 All heavy entry points are vectorized over arrays of evaluation points and
 share one batched kernel call; scalar wrappers return a QuadratureReport with
@@ -86,17 +90,21 @@ _KERNEL_W = 0.5 * np.pi * _S_STEP / np.cosh(np.pi * _S_GRID) ** 2
 # every L0 value would carry in proportion to |L0|
 _KERNEL_W /= _KERNEL_W.sum()
 
-_REGULAR_EST = 5e-12
-_COLLAR_EST = 2e-9
+# L0 error bars, sized against 30-digit mpmath kernel integrals: the straight
+# ladder's error is at most 8.4e-13 * eps^2 * |l0''| at the anchor, the graded
+# collar panels' at most 1e-15, rounding adds a few units in the last place
+_REGULAR_EST = 2e-12
+_COLLAR_EST = 1e-14
+_ROUNDING_EST = 1e-15
 # relative error allowed in A for the ladder's own error, which no refinement
 # of the path quadrature sees (it also makes A slightly path dependent where
 # a route enters the relocated or collar region)
 _LADDER_EST = 2e-11
 
-# memo bounds: tables per eps (a process works at a few eps at a time) and
-# first-period edge integrals (about 700 distinct targets per eps)
+# memo bound: tables per eps (a process works at a few eps at a time)
 _EPS_SLOTS = 8
-_EDGE_PART_SLOTS = 4096
+# ladder anchors per block: each (anchors x 161) temporary stays near 10 MB
+_ANCHOR_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -114,10 +122,14 @@ class QuadratureReport:
 
 def _kernel_straight(z: np.ndarray, eps: float, side) -> np.ndarray:
     """Trapezoid ladder for anchors whose vertical contour clears the cuts."""
-    args = z[:, None] + 1j * eps * _S_GRID[None, :]
-    side_b = np.broadcast_to(np.asarray(side), z.shape)[:, None]
-    vals = _l0_raw(args, np.broadcast_to(side_b, args.shape))
-    return vals @ _KERNEL_W
+    side_arr = np.broadcast_to(np.asarray(side), z.shape)
+    out = np.empty(z.shape, dtype=complex)
+    for lo in range(0, z.size, _ANCHOR_BLOCK):
+        block = slice(lo, lo + _ANCHOR_BLOCK)
+        args = z[block, None] + 1j * eps * _S_GRID[None, :]
+        vals = _l0_raw(args, np.broadcast_to(side_arr[block, None], args.shape))
+        out[block] = vals @ _KERNEL_W
+    return out
 
 
 def _kernel_graded(z: complex, eps: float, side: int, d_s: float, c: float) -> complex:
@@ -134,6 +146,9 @@ def _kernel_graded(z: complex, eps: float, side: int, d_s: float, c: float) -> c
         d *= 2.0
     if -_S_MAX < c < _S_MAX:
         cuts.add(c)
+    # the kernel's own poles sit at s = +-i/2: a unit panel centred on s = 0
+    # would see them at one half-width and lose four digits
+    cuts.update((-0.5, 0.0, 0.5))
     s = lo - 1.0
     while s > -_S_MAX:
         cuts.add(s)
@@ -196,14 +211,19 @@ def big_l0(p, eps: float, side=0) -> QuadratureReport:
 
 
 def _estimate_l_error(p, eps: float) -> float:
-    a = abs(float(np.real(p)))
-    b = abs(float(np.imag(p)))
-    margin = (1.0 - a) / eps if a < 1.0 else np.inf
-    if (a >= 1.0) and (b <= _CROSS_S * eps):  # relocated
-        return _REGULAR_EST + 1e-15 * (a + 1.0) / eps
-    if margin < _COLLAR_D:
-        return _COLLAR_EST
-    return _REGULAR_EST
+    """Error bar of L0(p), following the route _big_l_values takes at p."""
+    z = complex(p)
+    a = abs(z.real)
+    near_axis = abs(z.imag) <= _CROSS_S * eps
+    relocation = 0.0
+    if near_axis and a >= 1.0:
+        # the kernel runs at the anchor; the relocation sum rounds once per step
+        z -= np.copysign(np.ceil((a - 0.5) / eps) * eps, z.real)
+        relocation = 1e-15 * (a + 1.0) / eps
+    if near_axis and (1.0 - abs(z.real)) / eps < _COLLAR_D:
+        return _COLLAR_EST + relocation
+    l0_second = abs(2.0 * z) / abs(1.0 - z * z) ** 1.5
+    return _REGULAR_EST * eps**2 * l0_second + _ROUNDING_EST + relocation
 
 
 # =====================================================================
@@ -388,47 +408,71 @@ def _int_g_first_period(eps: float, frac_targets: np.ndarray) -> np.ndarray:
     """int_1^{1+frac} of (i/eps)(L0 - l0), boundary values from above.
 
     The edge carries inverse-sqrt singularities at 1 + (l + 1/2) eps, so the
-    straight edge segment cannot be integrated through them.  Instead each
-    target is reached by a polyline through the upper half plane (up from 1,
-    across at height 0.45 eps, down onto the target), where the integrand is
-    analytic; only the two endpoint approaches need geometric grading (a
-    bounded sqrt cusp at 1, smooth but eps-scale structure above the target).
+    straight edge segment cannot be integrated through them.  Instead every
+    target is reached through the upper half plane, where the integrand is
+    analytic: up from 1 to 1 + ih (h = 0.45 eps), across at height h, and
+    down onto 1 + frac.  All targets are done in one pass.  The up leg is
+    shared; it is graded geometrically into the bounded sqrt cusp at 1.  The
+    across leg is one polyline whose vertices are a uniform grid (spacing at
+    most 0.15 eps) plus every target, so a cumulative sum of its panel
+    integrals gives every target's value.  Each down leg is graded
+    geometrically toward its target, starting at 0.05 r, where r (the
+    distance to 1 or to the nearest lattice singularity) is the radius of
+    the disc about the target in which the continuation of the integrand
+    from above is analytic; all down-leg nodes go through one kernel call.
     Targets are refused within 1e-5 eps of a lattice singularity; graded
-    panel stacks keep nodes of the outer mode quadrature a few 1e-5 eps away,
-    and the descent grading below absorbs the sqrt growth at that distance.
+    panel stacks keep nodes of the outer mode quadrature a few 1e-5 eps away.
     """
-    out = np.zeros(frac_targets.shape, dtype=complex)
+    fracs = np.asarray(frac_targets, dtype=float)
+    out = np.zeros(fracs.shape, dtype=complex)
+    live = fracs > 1e-14
+    if not np.any(live):
+        return out
+    frac = fracs[live]
+    to_lattice = np.abs(frac - (np.round(frac / eps - 0.5) + 0.5) * eps)
+    if np.any(to_lattice < 1e-5 * eps):
+        raise QuadratureFailure(
+            "edge amplitude requested within 1e-5*eps of a lattice singularity"
+        )
     h = 0.45 * eps
-    for i, frac in enumerate(np.asarray(frac_targets, dtype=float)):
-        if frac <= 1e-14:
-            continue
-        lattice = (np.round(frac / eps - 0.5) + 0.5) * eps
-        if abs(frac - lattice) < 1e-5 * eps:
-            raise QuadratureFailure(
-                "edge amplitude requested within 1e-5*eps of a lattice singularity"
-            )
-        up = _geometric_leg(1.0 + 0.0j, 1.0 + 1j * h, 1e-9, 0.2 * eps)
-        across_n = max(2, int(np.ceil(frac / (0.15 * eps))))
-        across = list(1.0 + 1j * h + frac * np.arange(1, across_n + 1) / across_n)
-        down = _geometric_leg(1.0 + frac + 0.0j, 1.0 + frac + 1j * h, 1e-10 * eps, 0.2 * eps)
-        pts = np.array(up + across + list(reversed(down))[1:], dtype=complex)
-        nodes, weights = gl_panels(pts, 8)
-        out[i] = np.sum(weights * _g_values(nodes, eps, 1))
+    up, up_w = gl_panels(np.array(_geometric_leg(1.0, 1.0 + 1j * h, 1e-9, 0.2 * eps)), 8)
+
+    top = float(frac.max())
+    steps = max(2, int(np.ceil(top / (0.15 * eps))))
+    stops, where = np.unique(
+        np.concatenate([top * np.arange(steps + 1) / steps, frac]), return_inverse=True
+    )
+    across, across_w = gl_panels(1.0 + 1j * h + stops, 8)
+
+    start = np.maximum(0.05 * np.minimum(frac, to_lattice), 1e-10 * eps)
+    legs = [
+        gl_panels(np.array(_geometric_leg(x, x + 1j * h, d, 0.2 * eps)), 8)
+        for x, d in zip(1.0 + frac, start)
+    ]
+    owner = np.repeat(np.arange(frac.size), [nodes.size for nodes, _ in legs])
+    down = np.concatenate([nodes.ravel() for nodes, _ in legs])
+    down_w = np.concatenate([w.ravel() for _, w in legs])
+
+    g = _g_values(np.concatenate([up.ravel(), across.ravel(), down]), eps, 1)
+    g_up, g_across, g_down = np.split(g, [up.size, up.size + across.size])
+    up_part = np.sum(up_w.ravel() * g_up)
+    across_cum = np.concatenate(
+        [[0.0], np.cumsum(np.sum(across_w * g_across.reshape(across.shape), axis=1))]
+    )
+    # the down legs are integrated upward, so their parts enter with a minus
+    wg = down_w * g_down
+    down_part = np.bincount(owner, wg.real) + 1j * np.bincount(owner, wg.imag)
+    out[live] = up_part + across_cum[where[steps + 1:]] - down_part
     return out
-
-
-@lru_cache(maxsize=_EDGE_PART_SLOTS)
-def _edge_part(eps: float, key: float) -> complex:
-    """First-period integral to 1 + key * eps (key = frac/eps to 12 digits)."""
-    return complex(_int_g_first_period(eps, np.array([key]) * eps)[0])
 
 
 def upper_edge_amplitude(eps: float, xs: np.ndarray) -> np.ndarray:
     """A on the upper edge of [1, inf) at the points xs (array, each >= 1).
 
-    One quadrature per distinct position within the first period; every
-    further period is an exact closed-form recursion step, so arbitrarily
-    long edge segments cost O(length/eps) cheap factor products.
+    One batched quadrature over the distinct positions within the first
+    period (keyed by frac/eps to 12 digits); every further period is an
+    exact closed-form recursion step, so arbitrarily long edge segments cost
+    O(length/eps) cheap factor products.
     """
     xs = np.asarray(xs, dtype=float)
     if np.any(xs < 1.0 - 1e-12):
@@ -440,9 +484,8 @@ def upper_edge_amplitude(eps: float, xs: np.ndarray) -> np.ndarray:
     m[neg] -= 1
     frac[neg] += eps
 
-    lnA1 = _lnA_at_one(eps)
-    part = np.array([_edge_part(eps, float(k)) for k in np.round(frac / eps, 12)])
-    lnA_x0 = lnA1 + part
+    keys, inverse = np.unique(np.round(frac / eps, 12), return_inverse=True)
+    lnA_x0 = _lnA_at_one(eps) + _int_g_first_period(eps, keys * eps)[inverse]
 
     out = np.exp(lnA_x0)
     m_max = int(m.max()) if m.size else 0

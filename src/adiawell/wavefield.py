@@ -67,6 +67,7 @@ cross-checks possible: the two routes share no quadrature code.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -404,10 +405,12 @@ def _minus_panels(n: int, tau: float, eps: float, depth: float) -> np.ndarray:
     around _PANEL_PHASE radians (comfortable for an 8-point rule).
     """
     one_m_tau = 1.0 - tau
+    two_pi_n = 2.0 * np.pi * n
 
     def freq(y: float) -> float:
-        ev = action(1.0 - 1j * y, n, tau)
-        return abs(complex(ev.d1).imag) / eps
+        # |Im S_p(1 - iy)| / eps, with S_p = 2p(1 - tau) - 2 pi n + 2 asin(p)
+        p = complex(1.0, -y)
+        return abs((2.0 * p * one_m_tau - two_pi_n + 2.0 * cmath.asin(p)).imag) / eps
 
     bounds = [0.0, min(_MINUS_TIP, depth)]
     while bounds[-1] < depth:

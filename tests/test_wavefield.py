@@ -155,6 +155,28 @@ def test_gamma_at_and_past_threshold():
     assert np.all(late.est_error < 1e-7)
 
 
+@pytest.mark.parametrize(
+    "n, tau", [(1, tau_threshold(1) - 0.2), (2, tau_threshold(2)), (3, tau_threshold(3) + 0.5)]
+)
+def test_vertical_leg_panels_match_action_form(n, tau):
+    # the panel rule's frequency |Im S_p(1 - iy)| / eps, taken from action()
+    eps = 0.1
+    depth = wfd._minus_depth(n, tau, eps)
+
+    def freq(y):
+        return abs(complex(wfd.action(1.0 - 1j * y, n, tau).d1).imag) / eps
+
+    bounds = [0.0, min(wfd._MINUS_TIP, depth)]
+    while bounds[-1] < depth:
+        y = bounds[-1]
+        h = min(0.6 * y, wfd._PANEL_PHASE * eps / (freq(y) + 1e-3), 0.5)
+        h = min(0.6 * y, wfd._PANEL_PHASE * eps / (freq(y + h) + 1e-3), 0.5)
+        bounds.append(min(y + h, depth))
+    panels = wfd._minus_panels(n, tau, eps, depth)
+    assert panels.size == len(bounds)
+    assert np.max(np.abs(panels - np.array(bounds))) <= 1e-15
+
+
 def test_auto_dispatch_picks_gamma_only_near_threshold():
     thr = tau_threshold(1)
     assert wfd.mode_inside(P01, (thr - 0.1) / 0.1, np.array([0.5])).method == "gamma"
