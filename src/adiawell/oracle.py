@@ -13,6 +13,8 @@ accurate) or snap to the nearest node (first-order staircase, kept for
 comparison).  The scheme itself is unconditionally stable and unitary up
 to solver roundoff, since the discrete Hamiltonian is Hermitian.
 
+The walk starts from, and is compared against, the contour solution
+evaluated at every grid node, inside the well and past its edge alike.
 Domain truncation is certified by the exterior decay of the field: the
 leading-order outside magnitude is marched until it falls below target,
 and the reported boundary telemetry confirms nothing reached the wall.
@@ -23,10 +25,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from .asymptotics import outside_leading
@@ -46,18 +46,8 @@ __all__ = [
     "propagate_report",
 ]
 
-# coarse spacing for exact-field sampling past the edge; the log of the
-# outside field has O(1) first and O(eps^k) higher x-derivatives, so a
-# cubic fit on these spacings lands near 1e-7 relative
-_COARSE_NEAR = 0.25
-_COARSE_FAR = 0.5
-_NEAR_SPAN = 2.0
-# outside sampling stops where the leading-order magnitude drops below this
-_TAIL_FLOOR = 1e-8
 # safety margin applied to the truncation target when sizing x_max
 _SIZE_MARGIN = 10.0
-# exterior samples kept per (params, t, x_max); a run samples two times
-_SAMPLE_SLOTS = 8
 
 
 class SnapPolicy(Enum):
@@ -154,63 +144,15 @@ def step(state: WaveVector, grid: GridSpec, params: ModelParams) -> WaveVector:
 # =====================================================================
 
 
-def _tail_cut(params: ModelParams, t: float, x_max: float) -> float:
-    """Smallest x past the edge where the leading magnitude sinks below floor."""
-    edge = 1.0 - params.eps * t
-    x = edge + 1.0
-    while x < x_max:
-        if abs(outside_leading(params, x, t)) < _TAIL_FLOOR:
-            return x
-        x += 1.0
-    return x_max
-
-
-@lru_cache(maxsize=_SAMPLE_SLOTS)
-def _outside_interpolant(params: ModelParams, t: float, x_max: float):
-    edge = 1.0 - params.eps * t
-    cut = _tail_cut(params, t, x_max)
-    near = np.arange(edge, min(edge + _NEAR_SPAN, cut), _COARSE_NEAR)
-    far = np.arange(near[-1] + _COARSE_FAR, cut, _COARSE_FAR)
-    coarse = np.concatenate([near, far, [cut]])
-    vals = wavefield.mode_outside(params, t, coarse).psi
-    log_vals = np.log(np.abs(vals)) + 1j * np.unwrap(np.angle(vals))
-    return CubicSpline(coarse, log_vals), cut
-
-
 def sample_exact(params: ModelParams, t: float, grid: GridSpec) -> WaveVector:
     """Contour solution on the grid nodes, walls zeroed.
 
-    Interior nodes batch through the inside evaluation; past the edge the
-    field is sampled coarsely and rebuilt through a cubic fit of its
-    logarithm (smooth and zero-free there), with the sub-floor far tail
-    set to zero.  The fit error sits near 1e-7 relative, far below the
-    discretization errors this oracle measures.
+    Every interior node, on either side of the edge, carries the exact
+    field to the accuracy of the contour quadrature.
     """
     xs = grid.nodes()
-    edge = 1.0 - params.eps * t
     out = np.zeros(xs.shape, dtype=complex)
-
-    inside = (xs > 0.0) & (xs <= edge)
-    if np.any(inside):
-        out[inside] = wavefield.mode_inside(params, t, xs[inside]).psi
-
-    spline, cut = _outside_interpolant(params, t, grid.x_max)
-    outside = (xs > edge) & (xs <= cut)
-    if np.any(outside):
-        out[outside] = np.exp(spline(xs[outside]))
-
-    # continue the decaying tail log-linearly below the sampling floor so
-    # the initial state has no step for the walker to ring on; the field
-    # is cut only once it reaches 1e-13
-    log_cut = spline(cut)
-    slope = spline(cut, 1)
-    span = (np.log(1e-13) - log_cut.real) / slope.real if slope.real < 0 else 0.0
-    tail = (xs > cut) & (xs <= cut + span)
-    if np.any(tail):
-        out[tail] = np.exp(log_cut + slope * (xs[tail] - cut))
-
-    out[0] = 0.0
-    out[-1] = 0.0
+    out[1:-1] = wavefield.mode_solution(params, t, xs[1:-1]).psi
     return WaveVector(out, t)
 
 

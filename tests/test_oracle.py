@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from adiawell import oracle as orc
+from adiawell import wavefield as wfd
 from adiawell.errors import LinearSolveFailure
 from adiawell.spectrum import ModelParams, p_n, psi_n
 
@@ -207,7 +208,7 @@ def test_sampled_state_is_wall_pinned_and_tailed():
     xs = grid.nodes()
     assert state.values[0] == 0.0
     assert state.values[-1] == 0.0
-    # interior magnitude is order one, far tail decays below the floor
+    # interior magnitude is order one, far tail decays below 1e-8
     assert np.max(np.abs(state.values)) > 0.1
     assert np.max(np.abs(state.values[xs > 30.0])) < 1e-8
 
@@ -221,17 +222,13 @@ def test_suggest_x_max_bounds_the_tail():
     assert abs(outside_leading(params, x_max, -7.5)) < 1e-10
 
 
-def test_second_grid_reuses_the_exterior_samples():
-    # criterion 07 runs two grids with the same x_max; the second must not
-    # evaluate the exterior contour points again
+def test_exterior_samples_are_the_contour_field():
+    # past the edge every node carries mode_outside's own value, not a fit
     params = ModelParams(eps=0.2, n=1)
-    memo = orc._outside_interpolant
-    before = memo.cache_info()
-    orc.propagate_report(params, -10.0, -10.0, orc.GridSpec(x_max=3.6, nx=36, dt=0.01))
-    first = memo.cache_info()
-    orc.propagate_report(params, -10.0, -10.0, orc.GridSpec(x_max=3.6, nx=72, dt=0.01))
-    second = memo.cache_info()
-    assert first.misses - before.misses == 1
-    assert second.misses == first.misses
-    assert second.hits - first.hits == 2
-    assert second.currsize <= second.maxsize
+    grid = orc.GridSpec(x_max=12.0, nx=120, dt=0.01)
+    xs = grid.nodes()
+    past = (xs > 1.0 - params.eps * -10.0) & (xs < grid.x_max)
+    state = orc.sample_exact(params, -10.0, grid)
+    exact = wfd.mode_outside(params, -10.0, xs[past]).psi
+    assert past.sum() > 80
+    assert np.array_equal(state.values[past], exact)

@@ -226,6 +226,34 @@ def test_outside_decay_in_xi():
     assert np.all(np.diff(ratios) < 0.0)
 
 
+@pytest.mark.parametrize("params,t", [(P02, -10.0), (ModelParams(eps=0.1, n=2), -45.0)])
+def test_outside_bands_match_one_point_contours(params, t):
+    # a band shares one contour through its centre saddle; every admissible
+    # contour gives the same field, so only the error bar may move
+    edge = 1.0 - params.eps * t
+    one_band = edge + np.linspace(0.0, 2.0, 9)
+    several = edge + np.linspace(0.0, 16.0, 9)
+    single = {
+        x: wfd.mode_outside(params, t, np.array([x]))
+        for x in np.union1d(one_band, several)
+    }
+    for xs in (one_band, several):
+        batch = wfd.mode_outside(params, t, xs)
+        ref = np.array([single[x].psi[0] for x in xs])
+        ref_est = np.array([single[x].est_error[0] for x in xs])
+        assert np.all(np.abs(batch.psi / ref - 1.0) <= 1e-13)
+        ratio = batch.est_error / ref_est
+        assert np.all((0.9 <= ratio) & (ratio <= 1.1))
+
+    # a shuffled batch with one x repeated: each x keeps its value
+    perm = [5, 0, 8, 3, 5, 1, 7, 2, 6, 4]
+    shuffled = wfd.mode_outside(params, t, several[perm])
+    assert shuffled.psi[0] == shuffled.psi[4]
+    np.testing.assert_allclose(shuffled.psi, batch.psi[perm], rtol=1e-14)
+    with pytest.raises(ContourClash):
+        wfd.mode_outside(params, t, np.append(several, edge - 0.5))
+
+
 def test_mode_solution_splits_regions():
     eps = 0.2
     xs = np.array([0.5, 2.9, 3.5, 4.0])
