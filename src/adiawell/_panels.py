@@ -10,7 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 
-# rule orders in use: 6, 8, 12, 16, 20
+# rule orders in use: 8, 16, 20
 _RULE_SLOTS = 8
 
 

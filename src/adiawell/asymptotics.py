@@ -43,6 +43,7 @@ from .spectrum import (
     c_n_phase,
     dlnpn_dtau,
     int_e_n,
+    p_n,
     p_n_tilde,
     psi_n,
     tau_threshold,
@@ -66,8 +67,6 @@ __all__ = [
 _WIDTH_UNITS = 5.0
 # below this Z_n the transition amplitude uses its threshold limit (4 eps)^(1/3)
 _Z_FLOOR = 1e-9
-# panel width for the outside decay integral int_0^xi sqrt(1 - p~^2)
-_XI_PANEL = 0.2
 # the background integral is cut at s* = _G0_SPLIT / (tau - tau_n); the
 # neglected tail is O(exp(-2 _G0_SPLIT)) times an O(1) constant
 _G0_SPLIT = 20.0
@@ -149,17 +148,21 @@ def adiabatic_leading(params: ModelParams, x, t: float):
     return complex(out) if np.ndim(x) == 0 else out
 
 
-def _decay_integral(n: int, tau: float, xi: float) -> complex:
-    """int_0^xi sqrt(1 - p~_n(tau, xi')^2) dxi' on the Re-positive branch."""
-    if xi == 0.0:
-        return 0.0 + 0.0j
-    n_panels = max(1, int(np.ceil(xi / _XI_PANEL)))
-    nodes, weights = gl_panels(np.linspace(0.0, xi, n_panels + 1), 12)
-    total = 0.0 + 0.0j
-    for u, w in zip(nodes.ravel(), weights.ravel()):
-        pt = p_n_tilde(n, tau, u)
-        total += w * np.sqrt(1.0 - pt * pt)
-    return total
+def _decay_integral(n: int, tau: float, xi: float, pt: complex) -> complex:
+    """int_0^xi sqrt(1 - p~_n(tau, xi')^2) dxi' on the Re-positive branch.
+
+    pt is p~_n(tau, xi).  By parts, with r = sqrt(1 - p~^2) and the continued
+    dispersion relation xi p~ / r = -2i [(1 - tau) p~ + arcsin p~ - pi n],
+    the integral is r xi - 2i [H(p~) - H(p_n)], where H(p) = (1 - tau) p^2/2
+    + p arcsin p + sqrt(1 - p^2) - pi n p (principal branches, as in the
+    dispersion relation).
+    """
+
+    def h(p: complex) -> complex:
+        root = np.sqrt(1.0 - p * p)
+        return 0.5 * (1.0 - tau) * p * p + p * np.arcsin(p) + root - np.pi * n * p
+
+    return complex(np.sqrt(1.0 - pt * pt) * xi - 2j * (h(pt) - h(complex(p_n(n, tau)))))
 
 
 def outside_leading(params: ModelParams, x, t: float):
@@ -184,7 +187,7 @@ def outside_leading(params: ModelParams, x, t: float):
             )
         pt = p_n_tilde(n, tau, xi)
         dln = 1.0 / _tilde_slope(pt, tau, xi)
-        damp = _decay_integral(n, tau, xi)
+        damp = _decay_integral(n, tau, xi, pt)
         out[i] = (
             phase
             * np.sqrt(dln)

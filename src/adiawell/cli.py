@@ -49,32 +49,8 @@ class _Invalid(ValueError):
 # configuration plumbing
 # =====================================================================
 
-# per-subcommand parameter schema: dest -> python type expected in a JSON
-# config (bool is unused; enums travel as strings)
-_SCHEMA: dict[str, dict[str, type]] = {
-    "special": {"fn": str, "z": str, "eps": float, "deriv": int, "side": int},
-    "eigen": {"n": int, "tau": float},
-    "field": {
-        "eps": float, "n": int, "t": float, "x_min": float, "x_max": float,
-        "x_steps": int, "method": str,
-    },
-    "compare": {
-        "eps": float, "n": int, "t": float, "x_steps": int,
-        "delta_reg": float,
-    },
-    "sweep": {
-        "eps": str, "n": int, "tau": float, "check": str, "x": float,
-        "xi": float,
-    },
-    "oracle": {
-        "eps": float, "n": int, "t0": float, "t1": float, "x_max": float,
-        "nx": int, "dt": float, "snap": str,
-    },
-}
-
-
-def _load_json_config(path: str, sub: str) -> dict:
-    """Read a config file and check it against the subcommand's schema."""
+def _load_json_config(path: str, flags: argparse.ArgumentParser) -> dict:
+    """Read a config file; each value must pass its flag's own type and choices."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -87,32 +63,33 @@ def _load_json_config(path: str, sub: str) -> dict:
         raise _Invalid("config needs an integer format_version")
     if version != FORMAT_VERSION:
         raise _Invalid(f"unsupported config format_version {version}")
-    schema = _SCHEMA[sub]
+    actions = {a.dest: a for a in flags._actions if a.dest not in ("help", "json_config")}
     merged = {}
     for key, value in raw.items():
-        dest = key.replace("-", "_")
-        if dest == "out":
-            if not isinstance(value, str):
-                raise _Invalid("config key 'out' must be a string")
-            merged[dest] = value
-            continue
-        if dest not in schema:
-            raise _Invalid(f"config key {key!r} not valid for '{sub}'")
-        want = schema[dest]
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise _Invalid(f"config key {key!r} not valid for '{flags.prog}'")
+        # JSON numbers stand for float flags; every other flag takes its own type
+        want = action.type or str
         ok = isinstance(value, want) or (want is float and isinstance(value, int))
         if not ok or isinstance(value, bool):
             raise _Invalid(
                 f"config key {key!r} must be {want.__name__}, got {value!r}"
             )
-        merged[dest] = float(value) if want is float else value
+        value = want(value)
+        if action.choices is not None and value not in action.choices:
+            raise _Invalid(
+                f"config key {key!r} must be one of {list(action.choices)}, got {value!r}"
+            )
+        merged[action.dest] = value
     return merged
 
 
-def _merge_config(args: argparse.Namespace) -> None:
+def _merge_config(args: argparse.Namespace, flags: argparse.ArgumentParser) -> None:
     """Fill unset flags from the JSON config; flags always win."""
     if not getattr(args, "json_config", None):
         return
-    merged = _load_json_config(args.json_config, args.subcommand)
+    merged = _load_json_config(args.json_config, flags)
     for dest, value in merged.items():
         if getattr(args, dest, None) is None:
             setattr(args, dest, value)
@@ -388,7 +365,8 @@ _DISPATCH = {
 # =====================================================================
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The `adia` parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="adia",
         description="Shrinking-well mode evaluation, asymptotics, and oracle runs.",
@@ -452,18 +430,18 @@ def _build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--nx", type=int)
     orc.add_argument("--dt", type=float)
     orc.add_argument("--snap", choices=["cell-average", "nearest-node"])
-    return parser
+    return parser, subs.choices
 
 
 def run(argv: list[str] | None = None) -> int:
     """Parse argv, dispatch, and write CSV; returns the process exit code."""
-    parser = _build_parser()
+    parser, flags = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _merge_config(args)
+        _merge_config(args, flags[args.subcommand])
         header, rows = _DISPATCH[args.subcommand](args)
         _emit(header, rows, args.out)
     except _Invalid as exc:

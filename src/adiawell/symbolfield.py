@@ -33,11 +33,11 @@ Evaluation strategy
   branch point) the ladder loses its analyticity margin; there the kernel
   integral is done with Gauss-Legendre panels geometrically graded toward
   the singular direction.
-* The amplitude A along a contour (`amplitude_along`) costs one kernel sweep:
-  the 16-point rule on each segment gives ln A at the vertices, and partial
-  integrals of the same kernel values give it at the nodes of both outer
-  Gauss rules (8 and 16 points); a second sweep on the bisected contour
-  supplies the error estimate.
+* Every path integral of g = (i/eps)(L0 - l0) is one kernel sweep of the
+  16-point rule along a polyline: its weights give ln A at the vertices, and
+  partial integrals of the degree-15 interpolant of g give it anywhere inside
+  a segment (dense output).  `path_cumulative` sweeps the bisected polyline
+  and checks it against a sweep on the polyline itself.
 * The amplitude on the upper edge of [1, inf) - needed by the post-threshold
   contour - is computed by quadrature on one eps-period past p = 1 and then
   propagated exactly by A(p + eps) = rho0(p + eps/2) A(p) *
@@ -243,28 +243,12 @@ def _partial_integral_matrix(nodes: np.ndarray, targets: np.ndarray) -> np.ndarr
     return anti @ inv
 
 
-_B6 = _partial_integral_matrix(gl_rule(6)[0], gl_rule(6)[0])
-
 # amplitude_along's targets: the 8- then the 16-point nodes of a segment.  The
-# refined pass reaches a target x < 0 at 2x + 1 on the first half segment,
+# bisected sweep reaches a target x < 0 at 2x + 1 on the first half segment,
 # and x > 0 at 2x - 1 on the second.
 _TARGETS = np.concatenate([gl_rule(8)[0], gl_rule(16)[0]])
 _UPPER_HALF = (_TARGETS > 0.0).astype(int)
-_B_HALF = _partial_integral_matrix(gl_rule(16)[0], 2.0 * _TARGETS + 1.0 - 2.0 * _UPPER_HALF)
-
-
-@dataclass(frozen=True)
-class PathQuadrature:
-    """Cumulative integral of (i/eps)(L0 - l0) along a polyline.
-
-    lnA values are relative to the first vertex; gauss-level values allow
-    amplitude evaluation at the integrand nodes of the outer mode integral.
-    """
-
-    gauss: np.ndarray
-    lnA_points: np.ndarray
-    lnA_gauss: np.ndarray
-    est_error: float
+_HALF_U = 2.0 * _TARGETS + 1.0 - 2.0 * _UPPER_HALF
 
 
 def _g_values(q: np.ndarray, eps: float, side) -> np.ndarray:
@@ -277,38 +261,37 @@ def _g_values(q: np.ndarray, eps: float, side) -> np.ndarray:
     return ((1j / eps) * (big - small)).reshape(shape)
 
 
-def _sweep(points: np.ndarray, eps: float, side, order: int, b: np.ndarray):
-    """ln A - ln A(points[0]) from one kernel sweep of the order-point rule.
+def _sweep(points: np.ndarray, eps: float, side=0):
+    """ln A - ln A(points[0]) from one kernel sweep of the 16-point rule.
 
-    Returns the rule's nodes, the values at the vertices, and the values at
-    the targets of the partial-integral matrix b on every segment.
+    Returns (half, g, cum): the half-lengths of the segments, g at the rule's
+    nodes (one row per segment) and the values at the vertices.
     """
-    nodes, _ = gl_panels(points, order)
+    nodes, _ = gl_panels(points, 16)
     half = 0.5 * (points[1:] - points[:-1])
     g = _g_values(nodes, eps, side)
-    inc = half * (g @ gl_rule(order)[1])
-    at_points = np.concatenate([[0.0 + 0.0j], np.cumsum(inc)])
-    at_targets = at_points[:-1, None] + half[:, None] * (g @ b.T)
-    return nodes, at_points, at_targets
+    return half, g, np.concatenate([[0.0 + 0.0j], np.cumsum(half * (g @ gl_rule(16)[1]))])
 
 
-def path_cumulative(
-    points: Sequence[complex] | np.ndarray, eps: float, side=0, refine: bool = True
-) -> PathQuadrature:
+def _dense(sweep, seg: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Dense output of a sweep: its values at u in [-1, 1] on the segments seg."""
+    half, g, cum = sweep
+    b = _partial_integral_matrix(gl_rule(16)[0], np.ravel(u)).reshape(np.shape(u) + (16,))
+    return cum[seg] + half[seg] * np.sum(b * g[seg], axis=-1)
+
+
+def path_cumulative(points: Sequence[complex] | np.ndarray, eps: float, side=0):
     """Integrate (i/eps)(L0 - l0) cumulatively along the polyline `points`.
 
-    With refine=True a second pass at doubled resolution supplies the error
-    estimate (and the finer value is returned).
+    Returns the sweep on the bisected polyline and its error estimate: the
+    largest gap at the vertices to a sweep on `points` itself.
     """
     pts = np.asarray(points, dtype=complex)
     if pts.ndim != 1 or pts.size < 2:
         raise ValueError("need at least two polyline vertices")
-    gauss, coarse, at_gauss = _sweep(pts, eps, side, 6, _B6)
-    if not refine:
-        return PathQuadrature(gauss, coarse, at_gauss, 0.0)
-    gauss, fine, at_gauss = _sweep(bisect_polyline(pts), eps, side, 6, _B6)
-    est = float(np.max(np.abs(fine[0::2] - coarse)))
-    return PathQuadrature(gauss, fine[0::2], at_gauss, est)
+    coarse = _sweep(pts, eps, side)[2]
+    fine = _sweep(bisect_polyline(pts), eps, side)
+    return fine, float(np.max(np.abs(fine[2][0::2] - coarse)))
 
 
 def _route_from_origin(p: complex) -> np.ndarray:
@@ -347,10 +330,8 @@ def amplitude_a(p, eps: float) -> QuadratureReport:
     if z.imag == 0.0 and z.real >= 1.0:
         val = upper_edge_amplitude(eps, np.array([z.real]))[0]
         return QuadratureReport(complex(val), 5e-10)
-    path = path_cumulative(_route_from_origin(z), eps)
-    return QuadratureReport(
-        complex(np.exp(path.lnA_points[-1])), float(2.0 * path.est_error) + _LADDER_EST
-    )
+    (_, _, cum), est = path_cumulative(_route_from_origin(z), eps)
+    return QuadratureReport(complex(np.exp(cum[-1])), 2.0 * est + _LADDER_EST)
 
 
 def r0(p, eps: float) -> QuadratureReport:
@@ -387,8 +368,7 @@ def _lnA_at_one(eps: float) -> complex:
         d *= 0.5
         pts.append(1.0 - d)
     pts.append(1.0)
-    path = path_cumulative(np.array(pts, dtype=complex), eps, refine=True)
-    return complex(path.lnA_points[-1])
+    return complex(_sweep(np.array(pts, dtype=complex), eps)[2][-1])
 
 
 def _geometric_leg(a: complex, b: complex, scale_at_a: float, coarse: float) -> list[complex]:
@@ -522,14 +502,10 @@ def _meets_cut(points: np.ndarray) -> bool:
 def amplitude_along(verts, eps: float) -> tuple[dict[int, np.ndarray], float]:
     """A at the nodes of the 8- and 16-point Gauss rules on a contour.
 
-    One kernel sweep per contour: g = (i/eps)(L0 - l0) is evaluated at the
-    16 Gauss nodes of every segment of the vertex polyline `verts`; ln A at
-    the vertices follows from the 16-point weights, and at the nodes of both
-    rules from partial integrals of the degree-15 interpolant of g.  The
-    first vertex is reached by the straight route from 0.  A second sweep on
-    the bisected polyline supplies the values returned.  The error estimate
-    (relative, as for ln A) adds the gap between the two sweeps at the
-    vertices, the route's own estimate and the ladder allowance.
+    One `path_cumulative` over the straight route from 0 to the first vertex
+    followed by the vertex polyline `verts`; ln A at the nodes of both rules
+    comes from the dense output of its bisected sweep.  The error estimate
+    (relative, as for ln A) adds the ladder allowance to the sweep's own.
 
     Returns ({8: A, 16: A}, est_error), each A in the node order of
     gl_panels(verts, rule).ravel().  A polyline that meets a cut would carry
@@ -538,13 +514,10 @@ def amplitude_along(verts, eps: float) -> tuple[dict[int, np.ndarray], float]:
     pts = np.asarray(verts, dtype=complex)
     if _meets_cut(pts):
         raise ContourClash("amplitude polyline meets a cut |Re p| >= 1 of the real axis")
-    lead = path_cumulative(_route_from_origin(complex(pts[0])), eps)
-    _, coarse, _ = _sweep(pts, eps, 0, 16, np.empty((0, 16)))  # vertices only
-    _, fine, at_halves = _sweep(bisect_polyline(pts), eps, 0, 16, _B_HALF)
-    segments = pts.size - 1
-    at_targets = at_halves.reshape(segments, 2, _TARGETS.size)[
-        :, _UPPER_HALF, np.arange(_TARGETS.size)
-    ]
-    amps = np.exp(lead.lnA_points[-1] + at_targets)
-    est = lead.est_error + float(np.max(np.abs(fine[0::2] - coarse))) + _LADDER_EST
-    return {8: amps[:, :8].ravel(), 16: amps[:, 8:].ravel()}, est
+    route = _route_from_origin(complex(pts[0]))
+    sweep, est = path_cumulative(np.concatenate([route, pts[1:]]), eps)
+    # after r route segments, contour segment j is bisected-sweep segments
+    # 2(r + j) and 2(r + j) + 1
+    first = 2 * (route.size - 1) + 2 * np.arange(pts.size - 1)
+    amps = np.exp(_dense(sweep, first[:, None] + _UPPER_HALF, _HALF_U))
+    return {8: amps[:, :8].ravel(), 16: amps[:, 8:].ravel()}, est + _LADDER_EST

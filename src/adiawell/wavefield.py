@@ -89,9 +89,12 @@ from .spectrum import (
     tau_threshold,
 )
 from .symbolfield import (
+    _dense,
     _g_values,  # noqa: F401  (unused here; adiabench/tracing.py wraps it)
     _lnA_at_one,
     _meets_cut,
+    _route_from_origin,
+    _sweep,
     amplitude_along,
     path_cumulative,
     r0,
@@ -429,66 +432,37 @@ def _minus_panels(n: int, tau: float, eps: float, depth: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=_EPS_SLOTS)
-def _leg_amplitude_tables(eps: float) -> dict[str, np.ndarray]:
+def _leg_amplitude_tables(eps: float):
     """Cumulative amplitude integral down the vertical leg, cached per eps.
 
     The amplitude integrand does not depend on (n, tau); only the phase
     does.  One geometric vertex stack down to the master depth therefore
-    serves every mode and every time.  Each fine segment stores its eight
-    cumulative values (two ends plus six interior quadrature nodes) and the
-    barycentric weights of the degree-7 interpolant through them, which is
-    later evaluated at the oscillation-graded phase nodes.  The coarse pass
-    at half resolution supplies the error estimate.
+    serves every mode and every time; its depths double from vertex to
+    vertex, which the bisected 16-point sweep of `path_cumulative` resolves
+    to rounding.  The dense output of that sweep gives ln A at the
+    oscillation-graded phase nodes.  Returns the sweep, the leg's y at its
+    vertices and its error estimate.
     """
     verts = [0.0, _MINUS_TIP]
     while verts[-1] < _MINUS_DEPTH:
-        verts.append(min(verts[-1] * 1.3, _MINUS_DEPTH))
+        verts.append(min(verts[-1] * 2.0, _MINUS_DEPTH))
     v = np.array(verts)
-    dense = bisect_polyline(v)
-    coarse = path_cumulative(1.0 - 1j * v, eps, side=1, refine=False)
-    fine = path_cumulative(1.0 - 1j * dense, eps, side=1, refine=False)
-    est = float(np.max(np.abs(fine.lnA_points[0::2] - coarse.lnA_points)))
-
-    nodes_y = np.concatenate(
-        [dense[:-1, None], -fine.gauss.imag, dense[1:, None]], axis=1
-    )
-    nodes_c = np.concatenate(
-        [fine.lnA_points[:-1, None], fine.lnA_gauss, fine.lnA_points[1:, None]],
-        axis=1,
-    )
-    diff = nodes_y[:, :, None] - nodes_y[:, None, :]
-    diff[:, np.arange(8), np.arange(8)] = 1.0
-    bary = 1.0 / np.prod(diff, axis=2)
-    return {
-        "edges": dense,
-        "y": nodes_y,
-        "c": nodes_c,
-        "bary": bary,
-        "est": np.array([est]),
-    }
+    sweep, est = path_cumulative(1.0 - 1j * v, eps, side=1)
+    return sweep, bisect_polyline(v), est
 
 
 def _leg_ln_amplitude(eps: float, ys: np.ndarray) -> np.ndarray:
-    """ln A(1 - i y) - ln A(1) at arbitrary leg depths, by interpolation."""
-    tab = _leg_amplitude_tables(eps)
-    idx = np.clip(np.searchsorted(tab["edges"], ys) - 1, 0, tab["y"].shape[0] - 1)
-    xs = tab["y"][idx]
-    cs = tab["c"][idx]
-    d = ys[:, None] - xs
-    hit = d == 0.0
-    d[hit] = 1.0
-    q = tab["bary"][idx] / d
-    val = np.sum(q * cs, axis=1) / np.sum(q, axis=1)
-    exact = np.any(hit, axis=1)
-    if np.any(exact):
-        val[exact] = cs[exact][hit[exact]]
-    return val
+    """ln A(1 - i y) - ln A(1) at arbitrary leg depths, by dense output."""
+    sweep, edges, _ = _leg_amplitude_tables(eps)
+    seg = np.clip(np.searchsorted(edges, ys) - 1, 0, edges.size - 2)
+    u = (2.0 * ys - edges[seg] - edges[seg + 1]) / (edges[seg + 1] - edges[seg])
+    return _dense(sweep, seg, u)
 
 
 @lru_cache(maxsize=_MINUS_SLOTS)
 def _minus_tables(eps: float, n: int, tau: float) -> dict[int, dict[str, np.ndarray]]:
     edges = _minus_panels(n, tau, eps, _minus_depth(n, tau, eps))
-    amp_tab = _leg_amplitude_tables(eps)
+    amp_est = np.array([_leg_amplitude_tables(eps)[2] + 5e-11])
     ln_one = _lnA_at_one(eps)
     table: dict[int, dict[str, np.ndarray]] = {}
     for rule in (8, 16):
@@ -499,7 +473,7 @@ def _minus_tables(eps: float, n: int, tau: float) -> dict[int, dict[str, np.ndar
             "p": 1.0 - 1j * ys,
             "amp": np.exp(ln_one + _leg_ln_amplitude(eps, ys)),
             "il": np.asarray(int_l0(1.0 - 1j * ys)),
-            "amp_est": amp_tab["est"] + 5e-11,
+            "amp_est": amp_est,
         }
     return table
 
@@ -738,18 +712,20 @@ def outgoing_factor(p, eps: float):
 def _r_real(ks: np.ndarray, eps: float) -> np.ndarray:
     """Boundary values R(k) on the real axis, batched (R is even).
 
-    Interior points share one cumulative amplitude polyline from the
-    origin; edge points go through the cached per-period recursion.
+    Interior points are vertices of one amplitude sweep from the origin,
+    whose route is graded toward the sqrt cusp at 1; edge points go through
+    the cached per-period recursion.
     """
     av = np.abs(np.asarray(ks, dtype=float))
     uniq, inverse = np.unique(av, return_inverse=True)
     vals = np.empty(uniq.shape, dtype=complex)
     interior = uniq < 1.0
     if np.any(interior):
-        pts = np.concatenate([[0.0], uniq[interior]])
-        cum = path_cumulative(pts.astype(complex), eps, refine=True)
-        amps = np.exp(cum.lnA_points[1:])
-        vals[interior] = amps * np.exp(1j / eps * np.asarray(int_l0(uniq[interior])))
+        inner = uniq[interior]
+        pts = np.union1d(_route_from_origin(complex(inner[-1])).real, inner)
+        cum = _sweep(pts.astype(complex), eps)[2]
+        amps = np.exp(cum[np.searchsorted(pts, inner)])
+        vals[interior] = amps * np.exp(1j / eps * np.asarray(int_l0(inner)))
     if np.any(~interior):
         xs = uniq[~interior]
         amps = upper_edge_amplitude(eps, xs)

@@ -8,9 +8,17 @@ from scipy.special import zeta as riemann_zeta
 
 from adiawell import asymptotics as asy
 from adiawell import wavefield as wf
+from adiawell._panels import gl_panels
 from adiawell.errors import ContinuationFailure
 from adiawell.special import a_fn
-from adiawell.spectrum import ModelParams, c_n_phase, dlnpn_dtau, psi_n, tau_threshold
+from adiawell.spectrum import (
+    ModelParams,
+    c_n_phase,
+    dlnpn_dtau,
+    p_n_tilde,
+    psi_n,
+    tau_threshold,
+)
 
 THR1 = tau_threshold(1)
 THR2 = tau_threshold(2)
@@ -105,6 +113,26 @@ def test_outside_frozen_value():
     params = ModelParams(eps=0.1, n=1)
     got = asy.outside_leading(params, 3.0 + 0.5 / 0.1, -2.0 / 0.1)
     assert abs(got - OUTSIDE_REF) < 1e-12
+
+
+def _decay_by_quadrature(n, tau, xi):
+    """int_0^xi sqrt(1 - p~^2): a frozen copy of the quadrature the closed form
+    replaced, 12 Gauss nodes per 0.2 of xi, each node continued from xi = 0."""
+    nodes, weights = gl_panels(np.linspace(0.0, xi, max(1, int(np.ceil(xi / 0.2))) + 1), 12)
+    return sum(
+        w * np.sqrt(1.0 - p_n_tilde(n, tau, u) ** 2)
+        for u, w in zip(nodes.ravel(), weights.ravel())
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_decay_integral_closed_form_matches_quadrature(n):
+    for gap in (0.6, 1.2, 3.0):
+        tau = tau_threshold(n) - gap
+        for xi in (1e-3, 0.5, 2.0, 6.0):
+            closed = asy._decay_integral(n, tau, xi, p_n_tilde(n, tau, xi))
+            assert abs(closed - _decay_by_quadrature(n, tau, xi)) <= 1e-13
+    assert asy._decay_integral(n, tau, 0.0, p_n_tilde(n, tau, 0.0)) == 0.0
 
 
 def test_outside_matches_interior_tail_at_small_xi():

@@ -258,20 +258,27 @@ def test_flags_beat_json_config(tmp_path):
     assert float(rows[0][0]) == spectrum.p_n(1, -1.0)
 
 
+# each payload: the command line and the config file it is given
 @pytest.mark.parametrize(
     "payload",
     [
-        {"n": 1, "tau": -2.0},                          # missing version
-        {"format_version": 2, "n": 1, "tau": -2.0},     # wrong version
-        {"format_version": 1, "bogus": 3.0},            # unknown key
-        {"format_version": 1, "tau": "minus two"},      # wrong type
-        ["not", "an", "object"],                        # not a dict
+        (["eigen"], {"n": 1, "tau": -2.0}),                       # missing version
+        (["eigen"], {"format_version": 2, "n": 1, "tau": -2.0}),  # wrong version
+        (["eigen"], {"format_version": 1, "bogus": 3.0}),         # unknown key
+        (["eigen"], {"format_version": 1, "tau": "minus two"}),   # wrong type
+        (["eigen"], ["not", "an", "object"]),                     # not a dict
+        # values outside the flag's choices
+        (["special"], {"format_version": 1, "fn": "a", "z": "0.5", "deriv": 5}),
+        (["oracle"], {"format_version": 1, "eps": 0.2, "n": 1, "t0": -10.0,
+                      "t1": -10.0, "snap": "bogus"}),
+        (["special", "--fn", "l0", "--z", "1.5"], {"format_version": 1, "side": 7}),
     ],
 )
 def test_json_config_rejected(tmp_path, payload):
+    argv, config = payload
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(payload))
-    assert run(["eigen", "--json-config", str(cfg)]) == 2
+    cfg.write_text(json.dumps(config))
+    assert run(argv + ["--json-config", str(cfg)]) == 2
 
 
 @pytest.mark.parametrize(

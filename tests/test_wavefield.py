@@ -177,6 +177,15 @@ def test_vertical_leg_panels_match_action_form(n, tau):
     assert np.max(np.abs(panels - np.array(bounds))) <= 1e-15
 
 
+@pytest.mark.parametrize("eps", [0.2, 0.125, 0.05])
+def test_leg_amplitude_matches_independent_route(eps):
+    # the leg table's dense output against A(1 - iy) on its own route from 0
+    ys = np.array([1e-4, 1e-2, 0.3, 2.0, 8.0])
+    leg = np.exp(sf._lnA_at_one(eps) + wfd._leg_ln_amplitude(eps, ys))
+    ref = np.array([sf.amplitude_a(1.0 - 1j * y, eps).value for y in ys])
+    assert np.max(np.abs(leg - ref) / np.abs(ref)) <= 2e-12
+
+
 def test_auto_dispatch_picks_gamma_only_near_threshold():
     thr = tau_threshold(1)
     assert wfd.mode_inside(P01, (thr - 0.1) / 0.1, np.array([0.5])).method == "gamma"
@@ -394,9 +403,11 @@ def test_scattering_interface_relations(frac):
 
 
 def test_series_continuous_at_well_edge():
-    val_gap, der_gap = wfd.interface_residuals(P02, -10.0, 0.37 * 0.2)
-    assert val_gap < 1e-9
-    assert der_gap < 1e-8
+    # the first three offsets put a lattice point close to the sqrt cusp at k = 1
+    for p in (0.2 * 63.5 / 64, 0.2 * 0.5 / 64, 0.198, 0.37 * 0.2):
+        val_gap, der_gap = wfd.interface_residuals(P02, -10.0, p)
+        assert val_gap < 1e-9
+        assert der_gap < 1e-8
 
 
 def test_fourier_recovery_matches_contour():
