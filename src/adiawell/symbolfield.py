@@ -62,7 +62,7 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial.legendre import legint, legvander
 
-from ._panels import bisect_polyline, gl_panels, gl_rule
+from ._panels import bisect_polyline, cusp_panels, gl_panels, gl_rule
 from .branches import _l0_raw, int_l0, l0_prime, rho0
 from .errors import ContourClash, QuadratureFailure
 
@@ -357,18 +357,19 @@ def _lnA_at_one(eps: float) -> complex:
     """(i/eps) int_0^1 (L0 - l0) with panels graded into the eps-structure.
 
     The integrand is analytic on [0, 1) but carries a bounded sqrt cusp at 1
-    (the branch function does, the smoothed one does not), so the grading has
-    to run geometrically all the way down to ~1e-9 for the endpoint panels to
-    lose their algebraic error.
+    (the branch function does, the smoothed one does not).  Panels halve
+    toward 1 down to eps/4, where the eps-scale structure of L0 is resolved,
+    and the last panel is mapped into the cusp.
     """
     pts = [0.0, 0.35, 0.7]
     d = min(4.0 * eps, 0.28)
     pts.append(1.0 - d)
-    while d > 1e-9:
+    while d > 0.25 * eps:
         d *= 0.5
         pts.append(1.0 - d)
     pts.append(1.0)
-    return complex(_sweep(np.array(pts, dtype=complex), eps)[2][-1])
+    nodes, weights = cusp_panels(np.array(pts, dtype=complex), 16, at_end=True)
+    return complex(np.sum(weights * _g_values(nodes, eps, 0)))
 
 
 def _geometric_leg(a: complex, b: complex, scale_at_a: float, coarse: float) -> list[complex]:
@@ -392,7 +393,7 @@ def _int_g_first_period(eps: float, frac_targets: np.ndarray) -> np.ndarray:
     target is reached through the upper half plane, where the integrand is
     analytic: up from 1 to 1 + ih (h = 0.45 eps), across at height h, and
     down onto 1 + frac.  All targets are done in one pass.  The up leg is
-    shared; it is graded geometrically into the bounded sqrt cusp at 1.  The
+    shared: one 16-point panel mapped into the bounded sqrt cusp at 1.  The
     across leg is one polyline whose vertices are a uniform grid (spacing at
     most 0.15 eps) plus every target, so a cumulative sum of its panel
     integrals gives every target's value.  Each down leg is graded
@@ -400,8 +401,8 @@ def _int_g_first_period(eps: float, frac_targets: np.ndarray) -> np.ndarray:
     distance to 1 or to the nearest lattice singularity) is the radius of
     the disc about the target in which the continuation of the integrand
     from above is analytic; all down-leg nodes go through one kernel call.
-    Targets are refused within 1e-5 eps of a lattice singularity; graded
-    panel stacks keep nodes of the outer mode quadrature a few 1e-5 eps away.
+    Targets are refused within 1e-5 eps of a lattice singularity; the hook's
+    mapped edge panels keep their nodes at least 1.4e-5 eps away.
     """
     fracs = np.asarray(frac_targets, dtype=float)
     out = np.zeros(fracs.shape, dtype=complex)
@@ -415,7 +416,7 @@ def _int_g_first_period(eps: float, frac_targets: np.ndarray) -> np.ndarray:
             "edge amplitude requested within 1e-5*eps of a lattice singularity"
         )
     h = 0.45 * eps
-    up, up_w = gl_panels(np.array(_geometric_leg(1.0, 1.0 + 1j * h, 1e-9, 0.2 * eps)), 8)
+    up, up_w = cusp_panels(np.array([1.0, 1.0 + 1j * h]), 16, at_start=True)
 
     top = float(frac.max())
     steps = max(2, int(np.ceil(top / (0.15 * eps))))

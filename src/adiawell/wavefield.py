@@ -42,9 +42,10 @@ Three interchangeable evaluation contours are provided.
 * ``gamma``    a hook through the branch point: down the vertical ray
                1 - i[0, Y] and out along the upper edge of the cut [1, oo).
                Near and past the threshold tau_n the saddle collides with
-               p = 1 and the hook is the numerically stable choice; its node
-               tables depend only on eps and are cached and reused for every
-               (n, tau, x).
+               p = 1 and the hook is the numerically stable choice.  Its
+               upper-edge table and the amplitude down its vertical leg
+               depend only on eps and are cached per eps; the leg's nodes
+               follow the phase of each (n, tau) and are built per call.
 * ``ray``      the fixed line e^{i pi/4} R.  Simple and saddle-free, but the
                integrand climbs to e^{(pi n)^2/(2(1-tau) eps)} before it
                cancels, so it is only a cross-check at moderate eps.
@@ -77,7 +78,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._panels import bisect_polyline, gl_panels
+from ._panels import bisect_polyline, cusp_panels, gl_panels
 from .branches import int_l0, l0, l0_prime, q0
 from .errors import ContourClash, TraceDiverged, TruncationTooSmall
 from .spectrum import (
@@ -130,16 +131,13 @@ _TRACE_RADIUS = 30.0
 _GAMMA_SWITCH = 2.0     # hook contour once tau_n - tau <= this * eps^(1/3)
 _GAMMA_CAP = 0.6        # ... but never further below threshold than this
 _MINUS_DEPTH = 12.0     # hard cap on the depth of the hook's vertical leg
-_MINUS_TIP = 1e-7       # innermost panel boundary at the branch point
 _PANEL_PHASE = 4.5      # max radians of e^{iS/eps} per vertical-leg panel
 _RAY_ANGLE = 0.25 * np.pi
 # widest x span that shares one exterior contour; values do not move with the
 # width, but the error bar's |basis| scale grows (2% at 2, twofold at 16)
 _BAND_WIDTH = 2.0
-# memo bounds: hook-edge tables per (eps, rule) and per eps, and vertical-leg
-# tables per (eps, n, tau) at about 1.2 MB each
+# memo bound: hook-edge tables per (eps, rule) and per eps
 _EPS_SLOTS = 8
-_MINUS_SLOTS = 32
 
 
 # =====================================================================
@@ -333,27 +331,8 @@ def _inside_weights(
 
 
 # =====================================================================
-# the hook contour through p = 1 (cached node tables)
+# the hook contour through p = 1 (edge and leg-amplitude tables cached per eps)
 # =====================================================================
-
-def _period_fractions(first: bool) -> np.ndarray:
-    """Panel boundaries of one edge period, graded into both cusp points.
-
-    The edge integrand carries a bounded sqrt cusp at mid-period (the
-    half-lattice point of the smoothed symbol) and, in the first period, the
-    3/2-power cusp of the action at the branch point itself, so panels
-    shrink geometrically toward both.
-    """
-    mid = (
-        [0.25]
-        + [0.5 - 0.25 * 0.5**j for j in range(1, 8)]
-        + [0.5]
-        + [0.5 + 0.25 * 0.5**j for j in range(7, 0, -1)]
-        + [0.75, 1.0]
-    )
-    head = [0.25 * 0.5**j for j in range(10, 0, -1)] if first else []
-    return np.array([0.0] + head + mid)
-
 
 def _edge_periods(eps: float, level: float) -> int:
     """Number of eps-periods of the upper edge before Im S outruns level."""
@@ -368,14 +347,23 @@ def _edge_periods(eps: float, level: float) -> int:
 
 @lru_cache(maxsize=_EPS_SLOTS)
 def _plus_tables(eps: float, rule: int) -> dict[str, np.ndarray]:
-    periods = [
-        _gl_nodes(1.0 + m * eps + _period_fractions(m == 0) * eps, rule)
-        for m in range(_edge_periods(eps, _DECAY_LEVEL))
+    """Upper-edge nodes and weights with A and int_l0 there, per (eps, rule).
+
+    One mapped panel per half-period: A carries a bounded sqrt cusp at every
+    mid-period point 1 + (m + 1/2) eps, and the first half-period also meets
+    the 3/2-power cusp of the action at the branch point.
+    """
+    halves = [
+        cusp_panels(
+            1.0 + 0.5 * eps * np.array([k, k + 1]), rule,
+            at_start=k % 2 == 1 or k == 0, at_end=k % 2 == 0,
+        )
+        for k in range(2 * _edge_periods(eps, _DECAY_LEVEL))
     ]
-    xs = np.concatenate([nodes for nodes, _ in periods])
+    xs = np.concatenate([nodes.ravel() for nodes, _ in halves])
     return {
         "xs": xs,
-        "w": np.concatenate([w for _, w in periods]),
+        "w": np.concatenate([w.ravel() for _, w in halves]),
         "amp": upper_edge_amplitude(eps, xs),
         "il": np.asarray(int_l0(xs, side=1)),
     }
@@ -406,13 +394,15 @@ def _minus_depth(n: int, tau: float, eps: float) -> float:
 
 
 def _minus_panels(n: int, tau: float, eps: float, depth: float) -> np.ndarray:
-    """Panel boundaries on the vertical leg, graded for cusp and phase.
+    """Panel boundaries on the vertical leg, sized for the phase.
 
-    Near the tip the 3/2-power cusp of the action asks for geometric
-    refinement; away from it the quadratic phase p^2 (1 - tau) / eps
-    oscillates with local frequency |Im S_p| / eps, which grows linearly
-    in depth, so panel widths shrink to keep the phase swing per panel
-    around _PANEL_PHASE radians (comfortable for an 8-point rule).
+    The tip panel [0, eps/4] holds the 3/2-power cusp of the action at the
+    branch point, which `cusp_panels` maps away, and stays well inside the
+    distance eps/2 to the nearest singularities of L0 at 1 +- eps/2.  Below
+    it panels grow by at most 0.6 y, and the quadratic phase
+    p^2 (1 - tau) / eps oscillates with local frequency |Im S_p| / eps, which
+    grows linearly in depth, so panel widths shrink to keep the phase swing
+    per panel around _PANEL_PHASE radians (comfortable for an 8-point rule).
     """
     one_m_tau = 1.0 - tau
     two_pi_n = 2.0 * np.pi * n
@@ -422,11 +412,11 @@ def _minus_panels(n: int, tau: float, eps: float, depth: float) -> np.ndarray:
         p = complex(1.0, -y)
         return abs((2.0 * p * one_m_tau - two_pi_n + 2.0 * cmath.asin(p)).imag) / eps
 
-    bounds = [0.0, min(_MINUS_TIP, depth)]
+    bounds = [0.0, min(0.25 * eps, depth)]
     while bounds[-1] < depth:
         y = bounds[-1]
-        h = min(0.6 * y, _PANEL_PHASE * eps / (freq(y) + 1e-3), 0.5)
-        h = min(0.6 * y, _PANEL_PHASE * eps / (freq(y + h) + 1e-3), 0.5)
+        h = min(0.6 * y, _PANEL_PHASE / (freq(y) + 1e-3), 0.5)
+        h = min(0.6 * y, _PANEL_PHASE / (freq(y + h) + 1e-3), 0.5)
         bounds.append(min(y + h, depth))
     return np.array(bounds)
 
@@ -438,12 +428,12 @@ def _leg_amplitude_tables(eps: float):
     The amplitude integrand does not depend on (n, tau); only the phase
     does.  One geometric vertex stack down to the master depth therefore
     serves every mode and every time; its depths double from vertex to
-    vertex, which the bisected 16-point sweep of `path_cumulative` resolves
-    to rounding.  The dense output of that sweep gives ln A at the
+    vertex from 1e-7 on, which the bisected 16-point sweep of
+    `path_cumulative` resolves to rounding.  The dense output of that sweep gives ln A at the
     oscillation-graded phase nodes.  Returns the sweep, the leg's y at its
     vertices and its error estimate.
     """
-    verts = [0.0, _MINUS_TIP]
+    verts = [0.0, 1e-7]
     while verts[-1] < _MINUS_DEPTH:
         verts.append(min(verts[-1] * 2.0, _MINUS_DEPTH))
     v = np.array(verts)
@@ -459,61 +449,43 @@ def _leg_ln_amplitude(eps: float, ys: np.ndarray) -> np.ndarray:
     return _dense(sweep, seg, u)
 
 
-@lru_cache(maxsize=_MINUS_SLOTS)
-def _minus_tables(eps: float, n: int, tau: float) -> dict[int, dict[str, np.ndarray]]:
-    edges = _minus_panels(n, tau, eps, _minus_depth(n, tau, eps))
-    amp_est = np.array([_leg_amplitude_tables(eps)[2] + 5e-11])
-    ln_one = _lnA_at_one(eps)
-    table: dict[int, dict[str, np.ndarray]] = {}
-    for rule in (8, 16):
-        ys, w = _gl_nodes(edges, rule)
-        table[rule] = {
-            "ys": ys,
-            "w": w,
-            "p": 1.0 - 1j * ys,
-            "amp": np.exp(ln_one + _leg_ln_amplitude(eps, ys)),
-            "il": np.asarray(int_l0(1.0 - 1j * ys)),
-            "amp_est": amp_est,
-        }
-    return table
-
-
 def _gamma_weights(
-    n: int, tau: float, eps: float, rule: int
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Hook-contour nodes and weights for the inside integral at (n, tau).
+    n: int, tau: float, eps: float
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], float]:
+    """Hook-contour nodes p_j and weights W_j for the inside integral at (n, tau),
+    for the 8- and 16-point rules, as `_inside_weights` returns them.
 
     On the vertical leg |sin(px)| grows like e^{y x}, so truncation is
     decided by the net exponent Im S / eps - (1 - tau) y, not by Im S
     alone; nodes past net decay level + 10 contribute below 5e-20 and are
     dropped, which also keeps the basis sines out of overflow range.
     """
-    plus = _plus_tables(eps, rule)
-    minus = _minus_tables(eps, n, tau)[rule]
+    edges = _minus_panels(n, tau, eps, _minus_depth(n, tau, eps))
     one_m_tau = 1.0 - tau
     two_pi_n = 2.0 * np.pi * n
+    ln_one = _lnA_at_one(eps)
+    rules = []
+    for rule in (8, 16):
+        ys, w = (a.ravel() for a in cusp_panels(edges, rule, at_start=True))
+        p_m = 1.0 - 1j * ys
+        s_minus = p_m**2 * one_m_tau - two_pi_n * p_m + np.asarray(int_l0(p_m))
+        net = s_minus.imag / eps - one_m_tau * ys
+        live = net < _DECAY_LEVEL + 10.0
+        if live[-1]:
+            raise TruncationTooSmall(
+                "vertical hook leg is too short for this (n, tau); the saddle "
+                "sits too far below threshold for the hook contour"
+            )
+        keep = int(np.nonzero(live)[0].max()) + 2 if np.any(live) else 1
+        amp = np.exp(ln_one + _leg_ln_amplitude(eps, ys[:keep]))
+        w_minus = 1j * w[:keep] * amp * np.exp(1j * s_minus[:keep] / eps)
 
-    s_minus = minus["p"] ** 2 * one_m_tau - two_pi_n * minus["p"] + minus["il"]
-    net = s_minus.imag / eps - one_m_tau * minus["ys"]
-    live = net < _DECAY_LEVEL + 10.0
-    if live[-1]:
-        raise TruncationTooSmall(
-            "vertical hook leg is too short for this (n, tau); the saddle "
-            "sits too far below threshold for the hook contour"
-        )
-    keep = int(np.nonzero(live)[0].max()) + 2 if np.any(live) else 1
-    p_m = minus["p"][:keep]
-    w_minus = (
-        1j * minus["w"][:keep] * minus["amp"][:keep] * np.exp(1j * s_minus[:keep] / eps)
-    )
-
-    s_plus = plus["xs"] ** 2 * one_m_tau - two_pi_n * plus["xs"] + plus["il"]
-    w_plus = plus["w"] * plus["amp"] * np.exp(1j * s_plus / eps)
-
-    nodes = np.concatenate([p_m, plus["xs"]])
-    weights = np.concatenate([w_minus, w_plus])
-    amp_est = float(minus["amp_est"][0]) + 2e-9
-    return nodes, weights, amp_est
+        plus = _plus_tables(eps, rule)
+        s_plus = plus["xs"] ** 2 * one_m_tau - two_pi_n * plus["xs"] + plus["il"]
+        w_plus = plus["w"] * plus["amp"] * np.exp(1j * s_plus / eps)
+        nodes = np.concatenate([p_m[:keep], plus["xs"]])
+        rules.append((nodes, np.concatenate([w_minus, w_plus])))
+    return rules, _leg_amplitude_tables(eps)[2] + 5e-11 + 2e-9
 
 
 # =====================================================================
@@ -557,8 +529,7 @@ def mode_inside(
         method = _pick_inside_method(n, tau, eps)
 
     if method == "gamma":
-        nodes8, w8, _ = _gamma_weights(n, tau, eps, 8)
-        nodes16, w16, amp_est = _gamma_weights(n, tau, eps, 16)
+        [(nodes8, w8), (nodes16, w16)], amp_est = _gamma_weights(n, tau, eps)
     elif method in ("sd", "ray"):
         verts = (
             trace_steepest(n, tau, eps)

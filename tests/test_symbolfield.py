@@ -260,13 +260,7 @@ def _per_target_route(eps, frac_targets):
 
 def _hook_edge_keys(eps):
     """frac / eps of every node of both hook-edge tables, as upper_edge_amplitude keys them."""
-    xs = np.concatenate(
-        [
-            wfd._gl_nodes(1.0 + m * eps + wfd._period_fractions(m == 0) * eps, rule)[0]
-            for rule in (8, 16)
-            for m in range(wfd._edge_periods(eps, wfd._DECAY_LEVEL))
-        ]
-    )
+    xs = np.concatenate([wfd._plus_tables(eps, rule)["xs"] for rule in (8, 16)])
     m = np.floor((xs - 1.0) / eps + 1e-12).astype(int)
     frac = xs - 1.0 - m * eps
     frac[frac < 0.0] += eps
@@ -274,9 +268,18 @@ def _hook_edge_keys(eps):
 
 
 @pytest.mark.parametrize("eps", [0.2, 0.125, 0.05])
+def test_hook_edge_nodes_clear_the_lattice_singularities(eps):
+    # the edge amplitude refuses targets within 1e-5 eps of 1 + (l + 1/2) eps
+    for rule in (8, 16):
+        u = (wfd._plus_tables(eps, rule)["xs"] - 1.0) / eps - 0.5
+        assert np.min(np.abs(u - np.round(u))) >= 1e-5
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.125, 0.05])
 def test_batched_edge_integral_matches_per_target_route(eps, monkeypatch):
     keys = _hook_edge_keys(eps)
-    assert keys.size > 600
+    # one mapped panel per half-period: 72 keys (the graded periods had ~700)
+    assert keys.size <= 100
     count = [0]
     raw = sf._l0_raw
 
@@ -286,8 +289,9 @@ def test_batched_edge_integral_matches_per_target_route(eps, monkeypatch):
 
     monkeypatch.setattr(sf, "_l0_raw", counted)
     batched = sf._int_g_first_period(eps, keys * eps)
-    # L0 ladder points of the whole table (11.2M); the per-target route took 57M
-    assert count[0] <= 15_000_000
+    # L0 ladder points of the whole table (1.06M); the per-target route took 57M
+    # on the graded periods' 700 keys
+    assert count[0] <= 1_500_000
     monkeypatch.undo()
     assert np.max(np.abs(batched - _per_target_route(eps, keys * eps))) <= 1e-12
 

@@ -141,6 +141,17 @@ def test_sd_and_gamma_agree_near_threshold(delta):
     assert np.max(np.abs(sd.psi - gamma.psi)) < 1e-7
 
 
+def test_hook_agrees_with_descent_to_its_rule():
+    # the hook's upper edge and vertical leg resolve their cusps to rounding,
+    # so the two contours agree far inside either one's error bar
+    eps, tau = 0.125, tau_threshold(1) - 0.5
+    xs = np.linspace(0.0, 1.0 - tau, 200)
+    params = ModelParams(eps=eps, n=1)
+    sd = wfd.mode_inside(params, tau / eps, xs, method="sd")
+    gamma = wfd.mode_inside(params, tau / eps, xs, method="gamma")
+    assert np.max(np.abs(sd.psi - gamma.psi)) <= 1e-12 * np.max(np.abs(sd.psi))
+
+
 def test_gamma_at_and_past_threshold():
     thr = tau_threshold(1)
     xs = np.array(sorted(GAMMA_THRESHOLD_REF))
@@ -166,11 +177,12 @@ def test_vertical_leg_panels_match_action_form(n, tau):
     def freq(y):
         return abs(complex(wfd.action(1.0 - 1j * y, n, tau).d1).imag) / eps
 
-    bounds = [0.0, min(wfd._MINUS_TIP, depth)]
+    # one tip panel of eps/4, then _PANEL_PHASE radians of e^{iS/eps} per panel
+    bounds = [0.0, min(0.25 * eps, depth)]
     while bounds[-1] < depth:
         y = bounds[-1]
-        h = min(0.6 * y, wfd._PANEL_PHASE * eps / (freq(y) + 1e-3), 0.5)
-        h = min(0.6 * y, wfd._PANEL_PHASE * eps / (freq(y + h) + 1e-3), 0.5)
+        h = min(0.6 * y, wfd._PANEL_PHASE / (freq(y) + 1e-3), 0.5)
+        h = min(0.6 * y, wfd._PANEL_PHASE / (freq(y + h) + 1e-3), 0.5)
         bounds.append(min(y + h, depth))
     panels = wfd._minus_panels(n, tau, eps, depth)
     assert panels.size == len(bounds)
