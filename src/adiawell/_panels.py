@@ -60,10 +60,3 @@ def cusp_panels(
         nodes[-1], weights[-1] = edges[-1] - h * t * t, h * t * w
     return nodes, weights
 
-
-def bisect_polyline(points: np.ndarray) -> np.ndarray:
-    """The polyline `points` with the midpoint of every segment inserted."""
-    dense = np.empty(2 * points.size - 1, dtype=points.dtype)
-    dense[0::2] = points
-    dense[1::2] = 0.5 * (points[:-1] + points[1:])
-    return dense

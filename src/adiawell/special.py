@@ -39,7 +39,7 @@ from math import gamma
 
 import numpy as np
 
-from ._panels import gl_panels, gl_rule
+from ._panels import gl_panels
 from .errors import AccuracyLoss, OnCut
 
 __all__ = ["airy_ai", "f_transition", "a_fn", "zeta_fn"]
@@ -209,14 +209,10 @@ def _a_fn_quad(z: float, deriv: int) -> complex:
     pts = [0.0, step]
     while pts[-1] < 6.5:
         pts.append(min(pts[-1] * 1.7, 6.5))
-    edges = np.array(pts)
-    u = rot * gl_panels(edges, 16)[0]
+    nodes, weights = gl_panels(np.array(pts), 16)
+    u = rot * nodes
     f = np.exp(-(u**3) / 3.0 + 1j * z * u * u) * u * (1j * u * u) ** deriv
-    weights = gl_rule(16)[1]
-    total = 0.0 + 0.0j
-    for half, row in zip(0.5 * (edges[1:] - edges[:-1]), f):
-        total += half * np.dot(weights, row)
-    return complex(total * rot)
+    return complex(np.sum(weights * f) * rot)
 
 
 def _a_fn_asymp(z: np.ndarray, deriv: int) -> np.ndarray:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._panels import gl_panels, gl_rule
+from ._panels import gl_panels
 from .errors import ContinuationFailure, NoEigenvalue
 
 __all__ = [
@@ -127,10 +127,8 @@ def int_e_n(n: int, tau_lo: float, tau_hi: float) -> float:
         return 0.0
     n_panels = max(4, int(np.ceil(abs(tau_hi - tau_lo) / 0.1)))
     edges = np.linspace(tau_lo, tau_hi, n_panels + 1)
-    ts, _ = gl_panels(edges, 20)
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    vals = e_n(n, ts.ravel()).reshape(ts.shape)
-    return float(np.sum(half * vals * gl_rule(20)[1]))
+    ts, weights = gl_panels(edges, 20)
+    return float(np.sum(weights * e_n(n, ts.ravel()).reshape(ts.shape)))
 
 
 def psi_n(n: int, tau, x):

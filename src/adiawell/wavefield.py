@@ -78,7 +78,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._panels import bisect_polyline, cusp_panels, gl_panels
+from ._panels import cusp_panels, gl_panels
 from .branches import int_l0, l0, l0_prime, q0
 from .errors import ContourClash, TraceDiverged, TruncationTooSmall
 from .spectrum import (
@@ -90,12 +90,12 @@ from .spectrum import (
     tau_threshold,
 )
 from .symbolfield import (
+    _LADDER_EST,
     _dense,
     _g_values,  # noqa: F401  (unused here; adiabench/tracing.py wraps it)
     _lnA_at_one,
     _meets_cut,
     _route_from_origin,
-    _sweep,
     amplitude_along,
     path_cumulative,
     r0,
@@ -428,17 +428,17 @@ def _leg_amplitude_tables(eps: float):
     The amplitude integrand does not depend on (n, tau); only the phase
     does.  One geometric vertex stack down to the master depth therefore
     serves every mode and every time; its depths double from vertex to
-    vertex from 1e-7 on, which the bisected 16-point sweep of
-    `path_cumulative` resolves to rounding.  The dense output of that sweep gives ln A at the
-    oscillation-graded phase nodes.  Returns the sweep, the leg's y at its
-    vertices and its error estimate.
+    vertex from 1e-7 on, and one 16-point sweep of `path_cumulative` resolves
+    each segment to within that sweep's own error estimate.  The dense output
+    of the sweep gives ln A at the oscillation-graded phase nodes.  Returns
+    the sweep, the leg's y at its vertices and its error estimate.
     """
     verts = [0.0, 1e-7]
     while verts[-1] < _MINUS_DEPTH:
         verts.append(min(verts[-1] * 2.0, _MINUS_DEPTH))
     v = np.array(verts)
     sweep, est = path_cumulative(1.0 - 1j * v, eps, side=1)
-    return sweep, bisect_polyline(v), est
+    return sweep, v, est
 
 
 def _leg_ln_amplitude(eps: float, ys: np.ndarray) -> np.ndarray:
@@ -485,7 +485,7 @@ def _gamma_weights(
         w_plus = plus["w"] * plus["amp"] * np.exp(1j * s_plus / eps)
         nodes = np.concatenate([p_m[:keep], plus["xs"]])
         rules.append((nodes, np.concatenate([w_minus, w_plus])))
-    return rules, _leg_amplitude_tables(eps)[2] + 5e-11 + 2e-9
+    return rules, _leg_amplitude_tables(eps)[2] + _LADDER_EST
 
 
 # =====================================================================
@@ -694,7 +694,7 @@ def _r_real(ks: np.ndarray, eps: float) -> np.ndarray:
     if np.any(interior):
         inner = uniq[interior]
         pts = np.union1d(_route_from_origin(complex(inner[-1])).real, inner)
-        cum = _sweep(pts.astype(complex), eps)[2]
+        (_, _, cum), _ = path_cumulative(pts, eps)
         amps = np.exp(cum[np.searchsorted(pts, inner)])
         vals[interior] = amps * np.exp(1j / eps * np.asarray(int_l0(inner)))
     if np.any(~interior):

@@ -177,6 +177,40 @@ def test_path_independence_of_amplitude_integral():
     assert abs(direct[-1] - dogleg[-1]) < 1e-11
 
 
+def _cut_in_four(pts):
+    frac = np.linspace(0.0, 1.0, 5)[:-1]
+    inner = pts[:-1, None] + frac * (pts[1:, None] - pts[:-1, None])
+    return np.concatenate([inner.ravel(), pts[-1:]])
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.125, 0.05])
+def test_sweep_estimate_bounds_its_error(eps):
+    # the reference sweeps every segment cut into four; the contours the
+    # field sums over must stay within the ladder allowance, so that
+    # amplitude_along's bar remains the ladder's
+    tau = -1.2
+    contours = [
+        wfd.trace_steepest(1, tau, eps),
+        wfd.trace_steepest(1, tau, eps, xi=0.05) - 0.5 * eps,
+    ]
+    polylines = [
+        (np.concatenate([sf._route_from_origin(complex(v[0])), v[1:]]), 0, True)
+        for v in contours
+    ]
+    depths = [0.0, 1e-7]
+    while depths[-1] < 12.0:
+        depths.append(min(2.0 * depths[-1], 12.0))
+    polylines.append((1.0 - 1j * np.array(depths), 1, False))
+    for z in (0.999 + 0.001j, 1.0 - 0.001j, 1.05 + 0.01j, -0.99 - 0.02j):
+        polylines.append((sf._route_from_origin(z), 0, False))
+    for pts, side, on_contour in polylines:
+        (_, _, cum), est = sf.path_cumulative(pts, eps, side)
+        (_, _, ref), _ = sf.path_cumulative(_cut_in_four(pts), eps, side)
+        assert np.max(np.abs(cum - ref[0::4])) <= est
+        if on_contour:
+            assert est <= sf._LADDER_EST
+
+
 def test_amplitude_near_identity_and_reflection_law():
     for p in [0.4 + 0.3j, -0.6 + 0.8j]:
         devs = []
