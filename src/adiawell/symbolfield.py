@@ -21,18 +21,18 @@ Evaluation strategy
   s = +-i/2, the branch-point preimages at vertical distance
   (1 - |Re p|)/eps).
 * When the straight contour would cross a cut (|Re p| >= 1 with
-  |Im p| <~ 6.5 eps), the evaluation point is relocated horizontally by an
-  integer number of eps steps using the exact difference equation, e.g.
+  |Im p| <~ 6.5 eps), or would pass within 0.45 eps of a branch point (the
+  thin collar 1 - |Re p| < 0.45 eps, where the ladder loses its analyticity
+  margin), the evaluation point is relocated horizontally by an integer
+  number of eps steps using the exact difference equation, e.g.
 
       L0(p) = L0(p - M eps) + eps * sum_{j=1..M} l0'(p - (j - 1/2) eps),
 
   placing the kernel anchor near Re p = +-0.5 where the straight ladder is
-  valid.  This is an identity, not an approximation: no clearance tuning, no
-  pole dodging.
-* In the thin collar 1 - |Re p| < 0.45 eps (inside the strip, hugging a
-  branch point) the ladder loses its analyticity margin; there the kernel
-  integral is done with Gauss-Legendre panels geometrically graded toward
-  the singular direction.
+  valid.  This is an identity, not an approximation: every strip
+  [Re p - eps, Re p] it steps across is free of cuts, and no clearance
+  tuning or pole dodging is needed.  So every L0 value is one ladder sum at
+  its anchor plus the relocation sum.
 * Every path integral of g = (i/eps)(L0 - l0) is one kernel sweep of the
   16-point rule along a polyline: its weights give ln A at the vertices, and
   partial integrals of the degree-15 interpolant of g give it anywhere inside
@@ -82,7 +82,7 @@ __all__ = [
 _S_MAX = 8.0          # kernel truncation; sech^2(pi*8) ~ 4e-22
 _S_STEP = 0.1         # trapezoid step; strip half-width 0.45 -> err ~ 5e-13
 _CROSS_S = 6.5        # relocate if a cut crossing is within this many eps
-_COLLAR_D = 0.45      # s-plane analyticity margin below which panels grade
+_COLLAR_D = 0.45      # s-plane analyticity margin below which anchors relocate
 
 _S_GRID = np.arange(-int(round(_S_MAX / _S_STEP)), int(round(_S_MAX / _S_STEP)) + 1) * _S_STEP
 _KERNEL_W = 0.5 * np.pi * _S_STEP / np.cosh(np.pi * _S_GRID) ** 2
@@ -91,14 +91,13 @@ _KERNEL_W = 0.5 * np.pi * _S_STEP / np.cosh(np.pi * _S_GRID) ** 2
 _KERNEL_W /= _KERNEL_W.sum()
 
 # L0 error bars, sized against 30-digit mpmath kernel integrals: the straight
-# ladder's error is at most 8.4e-13 * eps^2 * |l0''| at the anchor, the graded
-# collar panels' at most 1e-15, rounding adds a few units in the last place
+# ladder's error is at most 8.4e-13 * eps^2 * |l0''| at the anchor, rounding
+# adds a few units in the last place
 _REGULAR_EST = 2e-12
-_COLLAR_EST = 1e-14
 _ROUNDING_EST = 1e-15
 # relative error allowed in A for the ladder's own error, which no refinement
 # of the path quadrature sees (it also makes A slightly path dependent where
-# a route enters the relocated or collar region)
+# a route enters the relocated region)
 _LADDER_EST = 2e-11
 
 # memo bound: tables per eps (a process works at a few eps at a time)
@@ -132,76 +131,35 @@ def _kernel_straight(z: np.ndarray, eps: float, side) -> np.ndarray:
     return out
 
 
-def _kernel_graded(z: complex, eps: float, side: int, d_s: float, c: float) -> complex:
-    """Panel ladder for collar anchors: graded toward the singular column c."""
-    sigma = max(d_s, 1e-4)
-    cuts = {-_S_MAX, _S_MAX}
-    lo, hi = max(c - 1.0, -_S_MAX), min(c + 1.0, _S_MAX)
-    cuts.update((lo, hi))
-    d = sigma
-    while d < 1.0:
-        for s in (c - d, c + d):
-            if -_S_MAX < s < _S_MAX:
-                cuts.add(s)
-        d *= 2.0
-    if -_S_MAX < c < _S_MAX:
-        cuts.add(c)
-    # the kernel's own poles sit at s = +-i/2: a unit panel centred on s = 0
-    # would see them at one half-width and lose four digits
-    cuts.update((-0.5, 0.0, 0.5))
-    s = lo - 1.0
-    while s > -_S_MAX:
-        cuts.add(s)
-        s -= 1.0
-    s = hi + 1.0
-    while s < _S_MAX:
-        cuts.add(s)
-        s += 1.0
-    nodes, weights = gl_panels(np.array(sorted(cuts)), 16)
-    args = z + 1j * eps * nodes
-    vals = _l0_raw(args, np.full(args.shape, side))
-    kern = 0.5 * np.pi / np.cosh(np.pi * nodes) ** 2
-    return complex(np.sum(weights * kern * vals))
+def _relocation(z: np.ndarray, eps: float):
+    """Where L0 at the points z is evaluated: (anchor, sgn, m_steps).
+
+    A point is moved by m_steps eps toward the origin (sgn is the sign of
+    Re p) when its straight kernel contour would cross a cut or pass within
+    _COLLAR_D eps of a branch point, which puts the anchor near
+    Re p = +-0.5; other points are their own anchors (m_steps 0).
+    """
+    a = np.abs(z.real)
+    moved = (a > 1.0 - _COLLAR_D * eps) & (np.abs(z.imag) <= _CROSS_S * eps)
+    sgn = np.where(z.real >= 0.0, 1.0, -1.0)
+    m_steps = np.where(moved, np.ceil((a - 0.5) / eps), 0).astype(int)
+    return z - sgn * m_steps * eps, sgn, m_steps
 
 
 def _big_l_values(p, eps: float, side=0) -> np.ndarray:
     """L0 on an array of points, cuts handled exactly."""
-    z = np.atleast_1d(np.asarray(p, dtype=complex)).copy()
-    side_arr = np.broadcast_to(np.asarray(side), z.shape).copy()
-    a, b = z.real, z.imag
-
-    crossing = (np.abs(a) >= 1.0) & (np.abs(b) <= _CROSS_S * eps)
-    sgn = np.where(a >= 0.0, 1.0, -1.0)
-    m_steps = np.where(crossing, np.ceil((np.abs(a) - 0.5) / eps), 0).astype(int)
+    z = np.atleast_1d(np.asarray(p, dtype=complex))
+    side_arr = np.broadcast_to(np.asarray(side), z.shape)
+    anchor, sgn, m_steps = _relocation(z, eps)
 
     # telescoping the difference equation: with anchor q = p - s M eps,
     # L0(p) = L0(q) + s * eps * sum_{j=1..M} l0'(p - s (j - 1/2) eps)
     corr = np.zeros_like(z)
-    if np.any(crossing):
-        m_max = int(m_steps.max())
-        for j in range(1, m_max + 1):
-            mask = m_steps >= j
-            mids = z[mask] - sgn[mask] * (j - 0.5) * eps
-            corr[mask] += sgn[mask] * eps * np.asarray(l0_prime(mids, side_arr[mask]))
-        z = z - sgn * m_steps * eps
-        a = z.real
-
-    # analyticity margin of the straight ladder, in s units
-    d_s = np.where(np.abs(a) < 1.0, (1.0 - np.abs(a)) / eps, np.inf)
-    col = -b / eps
-    # the graded ladder only pays off while the singular column still carries
-    # kernel weight; past _CROSS_S eps from the axis that weight is ~1e-17
-    collar = (d_s < _COLLAR_D) & (np.abs(b) <= _CROSS_S * eps)
-
-    out = np.zeros_like(z)
-    regular = ~collar
-    if np.any(regular):
-        out[regular] = _kernel_straight(z[regular], eps, side_arr[regular])
-    for idx in np.nonzero(collar)[0]:
-        out[idx] = _kernel_graded(
-            complex(z[idx]), eps, int(side_arr[idx]), float(d_s[idx]), float(col[idx])
-        )
-    return out + corr
+    for j in range(1, int(m_steps.max(initial=0)) + 1):
+        mask = m_steps >= j
+        mids = z[mask] - sgn[mask] * (j - 0.5) * eps
+        corr[mask] += sgn[mask] * eps * np.asarray(l0_prime(mids, side_arr[mask]))
+    return _kernel_straight(anchor, eps, side_arr) + corr
 
 
 def big_l0(p, eps: float, side=0) -> QuadratureReport:
@@ -213,16 +171,11 @@ def big_l0(p, eps: float, side=0) -> QuadratureReport:
 def _estimate_l_error(p, eps: float) -> float:
     """Error bar of L0(p), following the route _big_l_values takes at p."""
     z = complex(p)
-    a = abs(z.real)
-    near_axis = abs(z.imag) <= _CROSS_S * eps
-    relocation = 0.0
-    if near_axis and a >= 1.0:
-        # the kernel runs at the anchor; the relocation sum rounds once per step
-        z -= np.copysign(np.ceil((a - 0.5) / eps) * eps, z.real)
-        relocation = 1e-15 * (a + 1.0) / eps
-    if near_axis and (1.0 - abs(z.real)) / eps < _COLLAR_D:
-        return _COLLAR_EST + relocation
-    l0_second = abs(2.0 * z) / abs(1.0 - z * z) ** 1.5
+    anchor, _, m_steps = _relocation(np.asarray(z), eps)
+    # the kernel runs at the anchor; the relocation sum rounds once per step
+    relocation = 1e-15 * (abs(z.real) + 1.0) / eps if m_steps else 0.0
+    q = complex(anchor)
+    l0_second = abs(2.0 * q) / abs(1.0 - q * q) ** 1.5
     return _REGULAR_EST * eps**2 * l0_second + _ROUNDING_EST + relocation
 
 
@@ -286,12 +239,13 @@ def path_cumulative(points: Sequence[complex] | np.ndarray, eps: float, side=0):
     return (half, g, cum), float(np.sum(np.abs(half) * tail))
 
 
-def _route_from_origin(p: complex) -> np.ndarray:
+def _route_from_origin(p: complex, eps: float) -> np.ndarray:
     """A polyline from 0 to p staying inside C0 (p off the cuts).
 
-    Vertex spacing shrinks with the distance to the branch points at +-1 so
-    the quadrature resolves the eps-scale structure when the route grazes or
-    ends near a tip.
+    Vertex spacing shrinks with the distance to the branch points at +-1 and
+    to the nearest lattice singularity +-(1 + (l + 1/2) eps) of L0, so the
+    quadrature resolves the eps-scale structure when the route grazes or
+    ends near one.
     """
     a, b = p.real, p.imag
     if b == 0.0 and abs(a) >= 1.0:
@@ -304,8 +258,10 @@ def _route_from_origin(p: complex) -> np.ndarray:
     t = 0.0
     while t < length:
         here = direction * t
-        d_tip = min(abs(here - 1.0), abs(here + 1.0))
-        step = min(0.25, max(0.3 * d_tip, 1e-9))
+        w = complex(abs(here.real), here.imag)
+        lattice = 1.0 + (max(round((w.real - 1.0) / eps - 0.5), 0) + 0.5) * eps
+        d_sing = min(abs(w - 1.0), abs(w - lattice))
+        step = min(0.25, max(0.3 * d_sing, 1e-9))
         t = min(t + step, length)
         pts.append(direction * t)
     return np.array(pts, dtype=complex)
@@ -322,7 +278,7 @@ def amplitude_a(p, eps: float) -> QuadratureReport:
     if z.imag == 0.0 and z.real >= 1.0:
         val = upper_edge_amplitude(eps, np.array([z.real]))[0]
         return QuadratureReport(complex(val), 5e-10)
-    (_, _, cum), est = path_cumulative(_route_from_origin(z), eps)
+    (_, _, cum), est = path_cumulative(_route_from_origin(z, eps), eps)
     return QuadratureReport(complex(np.exp(cum[-1])), est + _LADDER_EST)
 
 
@@ -507,7 +463,7 @@ def amplitude_along(verts, eps: float) -> tuple[dict[int, np.ndarray], float]:
     pts = np.asarray(verts, dtype=complex)
     if _meets_cut(pts):
         raise ContourClash("amplitude polyline meets a cut |Re p| >= 1 of the real axis")
-    route = _route_from_origin(complex(pts[0]))
+    route = _route_from_origin(complex(pts[0]), eps)
     sweep, est = path_cumulative(np.concatenate([route, pts[1:]]), eps)
     # after r route segments, contour segment j is sweep segment r + j
     seg = route.size - 1 + np.arange(pts.size - 1)

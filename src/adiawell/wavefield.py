@@ -693,7 +693,7 @@ def _r_real(ks: np.ndarray, eps: float) -> np.ndarray:
     interior = uniq < 1.0
     if np.any(interior):
         inner = uniq[interior]
-        pts = np.union1d(_route_from_origin(complex(inner[-1])).real, inner)
+        pts = np.union1d(_route_from_origin(complex(inner[-1]), eps).real, inner)
         (_, _, cum), _ = path_cumulative(pts, eps)
         amps = np.exp(cum[np.searchsorted(pts, inner)])
         vals[interior] = amps * np.exp(1j / eps * np.asarray(int_l0(inner)))

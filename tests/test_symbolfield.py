@@ -4,8 +4,10 @@ Reference values were generated independently with mpmath at 20-30 digits:
 straight-ladder kernel integrals by mp.quad on [-14, 14] (interior and
 post-relocation anchors, relocation corrections summed in mpmath), kernel
 integrals by mp.quad on the whole line split at the singular column
-(interior and collar points; the two collar points nearest the tip also
-at every quarter-integer s, around the kernel poles at s = +-i/2), and the
+(interior and collar points, and one point on either side of the seam
+1 - |Re p| = 0.45 eps past which anchors are relocated; the two collar
+points nearest the tip and the seam points also at every quarter-integer
+s, around the kernel poles at s = +-i/2), and the
 nested R0 value by a 20-digit double quadrature of the kernel inside the
 path integral.  Everything else is checked against defining identities
 (difference equations, symmetry laws) or scaling forms whose
@@ -46,6 +48,9 @@ L0_LADDER_REFS = {
     (-0.99 + 0.02j, 0.05): -2.776076092645020862722 + 0.2032526958827584890043j,
     (0.995 + 0.01j, 0.1): 2.812441405871375912061 + 0.0966822695739305390663j,
     (0.998 + 0.075j, 0.05): 2.592474104156194809684 + 0.5411987687563963793567j,
+    # 1 - 0.45 eps -/+ 1e-9 + 0.3i eps: the straight ladder and the relocated side
+    (0.977499999 + 0.015j, 0.05): 2.685198303179625167562 + 0.1264732720369168013008j,
+    (0.977500001 + 0.015j, 0.05): 2.685198319217663640100 + 0.1264732758181035057076j,
 }
 
 
@@ -67,6 +72,21 @@ def test_big_l0_error_is_within_its_estimate():
         rep = sf.big_l0(p, eps)
         err = abs(rep.value - ref)
         assert err <= rep.est_error <= 100.0 * max(err, 1e-15 * abs(ref)), (p, eps)
+
+
+def test_big_l_values_make_one_kernel_call(monkeypatch):
+    # collar points are relocated like points past the cut, so a batch
+    # holding them still goes through one blocked ladder call
+    calls = [0]
+    raw = sf._l0_raw
+
+    def counted(z, side):
+        calls[0] += 1
+        return raw(z, side)
+
+    monkeypatch.setattr(sf, "_l0_raw", counted)
+    sf._big_l_values(np.array([0.97 + 0.02j, -0.99 + 0.02j, 0.3 + 0.4j]), 0.1)
+    assert calls[0] == 1
 
 
 def test_big_l0_relocated_reference():
@@ -177,8 +197,8 @@ def test_path_independence_of_amplitude_integral():
     assert abs(direct[-1] - dogleg[-1]) < 1e-11
 
 
-def _cut_in_four(pts):
-    frac = np.linspace(0.0, 1.0, 5)[:-1]
+def _cut_in(pts, n):
+    frac = np.linspace(0.0, 1.0, n + 1)[:-1]
     inner = pts[:-1, None] + frac * (pts[1:, None] - pts[:-1, None])
     return np.concatenate([inner.ravel(), pts[-1:]])
 
@@ -194,7 +214,7 @@ def test_sweep_estimate_bounds_its_error(eps):
         wfd.trace_steepest(1, tau, eps, xi=0.05) - 0.5 * eps,
     ]
     polylines = [
-        (np.concatenate([sf._route_from_origin(complex(v[0])), v[1:]]), 0, True)
+        (np.concatenate([sf._route_from_origin(complex(v[0]), eps), v[1:]]), 0, True)
         for v in contours
     ]
     depths = [0.0, 1e-7]
@@ -202,13 +222,25 @@ def test_sweep_estimate_bounds_its_error(eps):
         depths.append(min(2.0 * depths[-1], 12.0))
     polylines.append((1.0 - 1j * np.array(depths), 1, False))
     for z in (0.999 + 0.001j, 1.0 - 0.001j, 1.05 + 0.01j, -0.99 - 0.02j):
-        polylines.append((sf._route_from_origin(z), 0, False))
+        polylines.append((sf._route_from_origin(z, eps), 0, False))
     for pts, side, on_contour in polylines:
         (_, _, cum), est = sf.path_cumulative(pts, eps, side)
-        (_, _, ref), _ = sf.path_cumulative(_cut_in_four(pts), eps, side)
+        (_, _, ref), _ = sf.path_cumulative(_cut_in(pts, 4), eps, side)
         assert np.max(np.abs(cum - ref[0::4])) <= est
         if on_contour:
             assert est <= sf._LADDER_EST
+
+
+def test_route_grades_toward_lattice_singularities():
+    # routes ending next to 1 + eps/2 and 1 + 3 eps/2, singularities of L0 on
+    # the edge, against the same route cut into 16
+    eps = 0.1
+    for z in (1.15 + 0.003j, 1.05 + 0.01j):
+        route = sf._route_from_origin(z, eps)
+        (_, _, cum), est = sf.path_cumulative(route, eps)
+        (_, _, ref), _ = sf.path_cumulative(_cut_in(route, 16), eps)
+        assert abs(cum[-1] - ref[-1]) <= 1e-13, z
+        assert est <= 1e-12, z
 
 
 def test_amplitude_near_identity_and_reflection_law():
