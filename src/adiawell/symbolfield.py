@@ -17,13 +17,14 @@ Evaluation strategy
 * Straight vertical kernel contour whenever it stays clear of the cuts:
   a single fixed trapezoid ladder (step 0.1, truncated at |s| = 8) is
   spectrally accurate because the integrand is analytic in a strip of
-  half-width >= 0.45 around the real s-axis there (kernel poles sit at
+  half-width 0.5 around the real s-axis there (kernel poles sit at
   s = +-i/2, the branch-point preimages at vertical distance
-  (1 - |Re p|)/eps).
+  (1 - |Re p|)/eps >= 1).
 * When the straight contour would cross a cut (|Re p| >= 1 with
-  |Im p| <~ 6.5 eps), or would pass within 0.45 eps of a branch point (the
-  thin collar 1 - |Re p| < 0.45 eps, where the ladder loses its analyticity
-  margin), the evaluation point is relocated horizontally by an integer
+  |Im p| <~ 6.5 eps), or would pass within eps of a branch point (the
+  collar 1 - |Re p| < eps, where the branch-point preimages come closer to
+  the s-axis than the kernel poles and the ladder loses digits), the
+  evaluation point is relocated horizontally by an integer
   number of eps steps using the exact difference equation, e.g.
 
       L0(p) = L0(p - M eps) + eps * sum_{j=1..M} l0'(p - (j - 1/2) eps),
@@ -80,9 +81,12 @@ __all__ = [
 # ---------------------------------------------------------------------
 
 _S_MAX = 8.0          # kernel truncation; sech^2(pi*8) ~ 4e-22
-_S_STEP = 0.1         # trapezoid step; strip half-width 0.45 -> err ~ 5e-13
+_S_STEP = 0.1         # trapezoid step; analytic strip of half-width 0.5
 _CROSS_S = 6.5        # relocate if a cut crossing is within this many eps
-_COLLAR_D = 0.45      # s-plane analyticity margin below which anchors relocate
+# anchors within _COLLAR_D eps of a branch point relocate: its s-plane preimage
+# then sits at least as far out as the kernel poles (at 0.45, a point just
+# outside the collar lost two digits against one just inside)
+_COLLAR_D = 1.0
 
 _S_GRID = np.arange(-int(round(_S_MAX / _S_STEP)), int(round(_S_MAX / _S_STEP)) + 1) * _S_STEP
 _KERNEL_W = 0.5 * np.pi * _S_STEP / np.cosh(np.pi * _S_GRID) ** 2
@@ -137,7 +141,9 @@ def _relocation(z: np.ndarray, eps: float):
     A point is moved by m_steps eps toward the origin (sgn is the sign of
     Re p) when its straight kernel contour would cross a cut or pass within
     _COLLAR_D eps of a branch point, which puts the anchor near
-    Re p = +-0.5; other points are their own anchors (m_steps 0).
+    Re p = +-0.5.  Other points are their own anchors (m_steps 0): their
+    branch-point preimages sit no nearer the s-axis than the kernel poles,
+    or beyond |s| = _CROSS_S, where the kernel weight is about 1e-17.
     """
     a = np.abs(z.real)
     moved = (a > 1.0 - _COLLAR_D * eps) & (np.abs(z.imag) <= _CROSS_S * eps)

@@ -73,6 +73,7 @@ cross-checks possible: the two routes share no quadrature code.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -160,10 +161,30 @@ def action(p, n: int, tau: float, xi: float = 0.0, side=0) -> ActionEval:
     d1 vanishes exactly at the saddle p_n(tau) (inside) or its continuation
     p~_n(tau, xi) (outside); d2 = 2(1-tau) + 2i/q0 - xi/q0^3 is the sweep
     rate that sets the steepest-descent step size.
+
+    An untagged scalar p off the cuts takes a `cmath` path: there the
+    principal branches 2 asin(p) and i sqrt(1 - p^2) are l0 and q0 (see
+    `branches`).  Arrays, side tags, points on a cut or at a tip, and points
+    so near a tip that q0^3 underflows to 0 go through the `branches`
+    functions.
     """
-    z = np.asarray(p, dtype=complex)
     one_m_tau = 1.0 - tau
     two_pi_n = 2.0 * np.pi * n
+    if np.ndim(p) == 0 and np.ndim(side) == 0 and side == 0:
+        w = complex(p)
+        q = 1j * cmath.sqrt(1.0 - w * w)
+        # off the cuts, and not so near a tip that q0^3 underflows
+        if (w.imag != 0.0 or abs(w.real) < 1.0) and abs(q) > 1e-100:
+            el = 2.0 * cmath.asin(w)
+            s = w * w * one_m_tau - two_pi_n * w + (w * el - 2j * q - 2.0)
+            d1 = 2.0 * w * one_m_tau - two_pi_n + el
+            d2 = 2.0 * one_m_tau + 2j / q
+            if xi != 0.0:
+                s += q * xi
+                d1 += xi * w / q
+                d2 -= xi / q**3
+            return ActionEval(s, d1, d2)
+    z = np.asarray(p, dtype=complex)
     s = z * z * one_m_tau - two_pi_n * z + int_l0(z, side)
     d1 = 2.0 * z * one_m_tau - two_pi_n + l0(z, side)
     # the curvature is infinite at the branch points; S and S_p stay finite
@@ -173,7 +194,8 @@ def action(p, n: int, tau: float, xi: float = 0.0, side=0) -> ActionEval:
         side_arr = np.broadcast_to(np.asarray(side), z.shape)
         d2[~tip] = 2.0 * one_m_tau + l0_prime(z[~tip], side_arr[~tip])
     if xi != 0.0:
-        q = q0(z, side)
+        # an array, so that a q0^3 that underflows gives d2 = inf, not a raise
+        q = np.asarray(q0(z, side))
         s = s + q * xi
         d1 = d1 + xi * z / q
         d2 = d2 - xi / q**3
@@ -209,7 +231,7 @@ def action_identities(n: int, tau: float) -> tuple[float, float]:
 
 
 def _local_step(ev: ActionEval, eps: float) -> float:
-    width = np.sqrt(eps / abs(ev.d2))
+    width = math.sqrt(eps / abs(ev.d2))
     return min(
         _STEP_FRACTION * width,
         _PHASE_PER_STEP * eps / abs(ev.d1),
@@ -234,21 +256,23 @@ def trace_steepest(
     Im S - Im S(saddle) >= level * eps; the returned polyline is ordered
     like the original line contour, from the lower-left end to the
     upper-right end, saddle in the middle.
+
+    The steps run on scalar `action` calls, which take its `cmath` path off
+    the cuts.  Each branch's polyline, saddle first, is checked against the
+    cuts once it is traced; one that meets a cut raises TraceDiverged.
     """
-    p0 = p_n_tilde(n, tau, xi) if xi != 0.0 else complex(p_n(n, tau))
+    tau, xi = float(tau), float(xi)
+    p0 = complex(p_n_tilde(n, tau, xi) if xi != 0.0 else p_n(n, tau))
     base = action(p0, n, tau, xi=xi)
     c_re = base.value.real
     im0 = base.value.imag
-    beta = np.angle(base.d2)
-    first_dir = np.exp(1j * (0.25 * np.pi - 0.5 * beta))
+    first_dir = cmath.exp(1j * (0.25 * math.pi - 0.5 * cmath.phase(base.d2)))
+    step0 = _STEP_FRACTION * math.sqrt(eps / abs(base.d2))
 
     branches: list[list[complex]] = []
     for sgn in (1.0, -1.0):
-        direction = sgn * first_dir
-        step0 = _STEP_FRACTION * np.sqrt(eps / abs(base.d2))
-        p = p0 + direction * step0
+        p = p0 + sgn * first_dir * step0
         pts: list[complex] = []
-        prev = p0
         while True:
             ev = action(p, n, tau, xi=xi)
             # re-project onto the constant-Re S curve
@@ -256,10 +280,8 @@ def trace_steepest(
                 drift = ev.value.real - c_re
                 if abs(drift) < 1e-13 * (1.0 + abs(c_re)):
                     break
-                p = p - drift * np.conj(ev.d1) / abs(ev.d1) ** 2
+                p = p - drift * ev.d1.conjugate() / abs(ev.d1) ** 2
                 ev = action(p, n, tau, xi=xi)
-            if _meets_cut(np.array([prev, p])):
-                raise TraceDiverged("descent path attempted to cross a cut")
             pts.append(p)
             if ev.value.imag - im0 >= level * eps:
                 break
@@ -269,11 +291,12 @@ def trace_steepest(
                     f"(|p|={abs(p):.2f}, steps={len(pts)})"
                 )
             ds = _local_step(ev, eps)
-            v1 = 1j * np.conj(ev.d1) / abs(ev.d1)
+            v1 = 1j * ev.d1.conjugate() / abs(ev.d1)
             mid = action(p + ds * v1, n, tau, xi=xi)
-            v2 = 1j * np.conj(mid.d1) / abs(mid.d1)
-            prev = p
+            v2 = 1j * mid.d1.conjugate() / abs(mid.d1)
             p = p + 0.5 * ds * (v1 + v2)
+        if _meets_cut(np.array([p0] + pts)):
+            raise TraceDiverged("descent path attempted to cross a cut")
         branches.append(pts)
 
     # orient: the branch ending farther up-right plays the +infinity role

@@ -4,10 +4,10 @@ Reference values were generated independently with mpmath at 20-30 digits:
 straight-ladder kernel integrals by mp.quad on [-14, 14] (interior and
 post-relocation anchors, relocation corrections summed in mpmath), kernel
 integrals by mp.quad on the whole line split at the singular column
-(interior and collar points, and one point on either side of the seam
-1 - |Re p| = 0.45 eps past which anchors are relocated; the two collar
-points nearest the tip and the seam points also at every quarter-integer
-s, around the kernel poles at s = +-i/2), and the
+(interior and collar points, and one point on either side of the old
+seam 1 - |Re p| = 0.45 eps past which anchors were relocated; the two
+collar points nearest the tip and the seam points also at every
+quarter-integer s, around the kernel poles at s = +-i/2), and the
 nested R0 value by a 20-digit double quadrature of the kernel inside the
 path integral.  Everything else is checked against defining identities
 (difference equations, symmetry laws) or scaling forms whose
@@ -48,7 +48,7 @@ L0_LADDER_REFS = {
     (-0.99 + 0.02j, 0.05): -2.776076092645020862722 + 0.2032526958827584890043j,
     (0.995 + 0.01j, 0.1): 2.812441405871375912061 + 0.0966822695739305390663j,
     (0.998 + 0.075j, 0.05): 2.592474104156194809684 + 0.5411987687563963793567j,
-    # 1 - 0.45 eps -/+ 1e-9 + 0.3i eps: the straight ladder and the relocated side
+    # 1 - 0.45 eps -/+ 1e-9 + 0.3i eps, both inside the relocated collar now
     (0.977499999 + 0.015j, 0.05): 2.685198303179625167562 + 0.1264732720369168013008j,
     (0.977500001 + 0.015j, 0.05): 2.685198319217663640100 + 0.1264732758181035057076j,
 }
@@ -72,6 +72,12 @@ def test_big_l0_error_is_within_its_estimate():
         rep = sf.big_l0(p, eps)
         err = abs(rep.value - ref)
         assert err <= rep.est_error <= 100.0 * max(err, 1e-15 * abs(ref)), (p, eps)
+
+
+def test_old_collar_seam_is_accurate():
+    # a ladder anchored 0.45 eps from the tip lost two digits (1.7e-13)
+    for p in (0.977499999 + 0.015j, 0.977500001 + 0.015j):
+        assert abs(sf.big_l0(p, 0.05).value - L0_LADDER_REFS[(p, 0.05)]) <= 1e-14
 
 
 def test_big_l_values_make_one_kernel_call(monkeypatch):

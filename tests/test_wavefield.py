@@ -19,8 +19,8 @@ from adiawell import symbolfield as sf
 from adiawell import wavefield as wfd
 from adiawell._panels import gl_rule
 from adiawell.branches import int_l0, l0
-from adiawell.errors import ContourClash, TraceDiverged
-from adiawell.spectrum import ModelParams, p_n, tau_threshold
+from adiawell.errors import BranchViolation, ContourClash, TraceDiverged
+from adiawell.spectrum import ModelParams, p_n, p_n_tilde, tau_threshold
 
 P02 = ModelParams(eps=0.2, n=1)
 P01 = ModelParams(eps=0.1, n=1)
@@ -84,6 +84,44 @@ def test_action_derivatives_by_finite_differences():
         assert abs(complex(ev.d2) - d2_fd) < 1e-5
 
 
+def _action_gap(p, xi):
+    # largest relative gap between the scalar path and a 1-element array
+    scalar = wfd.action(p, 2, -4.0, xi=xi)
+    array = wfd.action(np.array([p]), 2, -4.0, xi=xi)
+    gaps = []
+    for name in ("value", "d1", "d2"):
+        a, b = complex(getattr(scalar, name)), complex(getattr(array, name)[0])
+        gaps.append(0.0 if a == b else abs(a - b) / abs(b))
+    return max(gaps)
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.7])
+def test_scalar_action_matches_array_path(xi):
+    rng = np.random.default_rng(20261019)
+    pts = list(rng.uniform(-3.0, 3.0, 400) + 1j * rng.uniform(-3.0, 3.0, 400))
+    pts += [0.999999 + 0j, complex(-0.5, -0.0), 1.0000001 + 1e-12j, 2.0 + 1e-17j]
+    pts += [1.0 + 1e-9j, -1.0 - 1e-9j]
+    assert max(_action_gap(p, xi) for p in pts) <= 1e-14
+
+
+def test_scalar_action_near_tip_underflow():
+    # q0 underflows to 0 at 1 + 1e-300i; the array path keeps S finite
+    p = 1.0 + 1e-300j
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scalar = wfd.action(p, 2, -4.0, xi=0.7)
+        array = wfd.action(np.array([p]), 2, -4.0, xi=0.7)
+    assert np.isfinite(complex(scalar.value))
+    for name in ("value", "d1", "d2"):
+        np.testing.assert_equal(complex(getattr(scalar, name)), getattr(array, name)[0])
+
+
+def test_scalar_action_keeps_the_cut_rules():
+    for p in (1.5, -2.0):
+        with pytest.raises(BranchViolation):
+            wfd.action(p, 1, -2.0)
+    assert np.isinf(complex(wfd.action(1.0, 1, -2.0, side=1).d2))
+
+
 # ---------------------------------------------------------------------
 # steepest-descent tracer
 # ---------------------------------------------------------------------
@@ -104,6 +142,37 @@ def test_trace_constant_real_part_and_rising_imag():
 def test_trace_diverges_on_unreachable_level():
     with pytest.raises(TraceDiverged):
         wfd.trace_steepest(1, -2.0, 0.2, level=1e7)
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.05])
+def test_trace_work(monkeypatch, xi):
+    # the steps call no branch function, and each branch is checked against
+    # the cuts once, as one polyline from the saddle
+    counts = {}
+    for name in ("l0", "int_l0", "l0_prime", "q0"):
+        raw = getattr(wfd, name)
+
+        def counted(*args, _name=name, _raw=raw, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _raw(*args, **kwargs)
+
+        monkeypatch.setattr(wfd, name, counted)
+    polylines = []
+    meets = sf._meets_cut
+
+    def recorded(points):
+        polylines.append(points)
+        return meets(points)
+
+    monkeypatch.setattr(wfd, "_meets_cut", recorded)
+    wfd.trace_steepest(1, -3.0, 0.1, xi=xi)
+    assert counts == {}
+    saddle = p_n_tilde(1, -3.0, xi) if xi else p_n(1, -3.0)
+    assert len(polylines) == 2
+    assert all(line[0] == saddle for line in polylines)
+    monkeypatch.setattr(wfd, "_meets_cut", lambda points: True)
+    with pytest.raises(TraceDiverged):
+        wfd.trace_steepest(1, -3.0, 0.1, xi=xi)
 
 
 # ---------------------------------------------------------------------
