@@ -83,9 +83,8 @@ __all__ = [
 _S_MAX = 8.0          # kernel truncation; sech^2(pi*8) ~ 4e-22
 _S_STEP = 0.1         # trapezoid step; analytic strip of half-width 0.5
 _CROSS_S = 6.5        # relocate if a cut crossing is within this many eps
-# anchors within _COLLAR_D eps of a branch point relocate: its s-plane preimage
-# then sits at least as far out as the kernel poles (at 0.45, a point just
-# outside the collar lost two digits against one just inside)
+# anchors within _COLLAR_D eps of a branch point relocate, so that no ladder
+# meets a branch-point preimage nearer the s-axis than the kernel poles
 _COLLAR_D = 1.0
 
 _S_GRID = np.arange(-int(round(_S_MAX / _S_STEP)), int(round(_S_MAX / _S_STEP)) + 1) * _S_STEP
