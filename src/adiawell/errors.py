@@ -3,9 +3,9 @@
 Every error raised on purpose by this package derives from AdiawellError so
 callers can catch the lot with one clause.  The subclasses mirror the failure
 modes of the numerical layers: branch-cut misuse, loss of accuracy in special
-function evaluation, root finding running off its bracket, contour quadrature
-problems, diverging contour traces, and linear-algebra failures inside the
-finite difference reference solver.
+function evaluation, root finding running off its bracket, contours that meet
+a singularity or fall short of their decay level, diverging contour traces,
+and linear-algebra failures inside the finite difference reference solver.
 """
 
 from __future__ import annotations
@@ -25,10 +25,6 @@ class PoleAt(AdiawellError):
 
 class AccuracyLoss(AdiawellError):
     """A series or asymptotic evaluation cannot reach the requested accuracy."""
-
-
-class QuadratureFailure(AdiawellError):
-    """A quadrature did not converge to its tolerance."""
 
 
 class OnCut(AdiawellError):

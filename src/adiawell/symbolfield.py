@@ -40,14 +40,12 @@ Evaluation strategy
   a segment (dense output).  `path_cumulative` sweeps each polyline once and
   bounds its error by the top Legendre coefficients of those interpolants.
 * The amplitude on the upper edge of [1, inf) - needed by the post-threshold
-  contour - is computed by quadrature on one eps-period past p = 1 and then
-  propagated exactly by A(p + eps) = rho0(p + eps/2) A(p) *
-  exp((i/eps)(int_l0(p) - int_l0(p + eps))), which follows from the R0
-  difference equation.  The first-period integrals of every target come
-  from one pass through the upper half plane: a shared leg up from 1, one
-  polyline across through all targets (a cumulative sum gives each value)
-  and one short descent per target, graded only as finely as the distance
-  to the nearest singularity on the edge asks for.
+  contour - is carried there from the real axis just below 1 by the exact
+  recursion A(p + eps) = rho0(p + eps/2) A(p) exp((i/eps)(int_l0(p) -
+  int_l0(p + eps))), which follows from the R0 difference equation.  One
+  sweep along the interval gives A at every starting point in [1 - eps, 1),
+  so no quadrature runs along the edge, where the integrand has
+  inverse-sqrt singularities at the lattice points 1 + (l + 1/2) eps.
 
 All heavy entry points are vectorized over arrays of evaluation points and
 share one batched kernel call; scalar wrappers return a QuadratureReport with
@@ -63,9 +61,9 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial.legendre import legint, legvander
 
-from ._panels import cusp_panels, gl_panels, gl_rule
+from ._panels import gl_panels, gl_rule
 from .branches import _l0_raw, int_l0, l0_prime, rho0
-from .errors import ContourClash, QuadratureFailure
+from .errors import ContourClash
 
 __all__ = [
     "QuadratureReport",
@@ -281,8 +279,8 @@ def amplitude_a(p, eps: float) -> QuadratureReport:
     if z == 0.0:
         return QuadratureReport(1.0 + 0.0j, 0.0)
     if z.imag == 0.0 and z.real >= 1.0:
-        val = upper_edge_amplitude(eps, np.array([z.real]))[0]
-        return QuadratureReport(complex(val), 5e-10)
+        val, est = _upper_edge(eps, np.array([z.real]))
+        return QuadratureReport(complex(val[0]), est + _LADDER_EST)
     (_, _, cum), est = path_cumulative(_route_from_origin(z, eps), eps)
     return QuadratureReport(complex(np.exp(cum[-1])), est + _LADDER_EST)
 
@@ -302,145 +300,60 @@ def r0(p, eps: float) -> QuadratureReport:
 
 
 # =====================================================================
-# the upper edge of [1, inf): one-period quadrature + exact recursion
+# the upper edge of [1, inf): one real-axis sweep + exact recursion
 # =====================================================================
 
-@lru_cache(maxsize=_EPS_SLOTS)
-def _lnA_at_one(eps: float) -> complex:
-    """(i/eps) int_0^1 (L0 - l0) with panels graded into the eps-structure.
 
-    The integrand is analytic on [0, 1) but carries a bounded sqrt cusp at 1
-    (the branch function does, the smoothed one does not).  Panels halve
-    toward 1 down to eps/4, where the eps-scale structure of L0 is resolved,
-    and the last panel is mapped into the cusp.
+def _upper_edge(eps: float, xs: np.ndarray) -> tuple[np.ndarray, float]:
+    """A on the upper edge at the points xs, and the bar of its real-axis sweep.
+
+    Every x is written as x0 + m eps with x0 in [1 - eps, 1).  ln A(x0) comes
+    from one `path_cumulative` sweep along the route from the origin to the
+    largest x0, with every x0 a vertex; the x0 are keyed by x0/eps to 12
+    digits, so edge points at the same place in different periods share one
+    vertex.  Each period is then one exact step of the R0 difference equation,
+    A(p + eps) = rho0(p + eps/2) A(p) exp((i/eps)(int_l0(p) - int_l0(p + eps))).
+    The steps use the exact x0 and take their rho0 midpoints as
+    x - (m - j - 1/2) eps, the rounding by which the relocation sum of L0
+    places its singularities, so A stays consistent with L0 at the sqrt cusps
+    1 + (l + 1/2) eps, where a shift of one ulp moves A by about 1e-8.
     """
-    pts = [0.0, 0.35, 0.7]
-    d = min(4.0 * eps, 0.28)
-    pts.append(1.0 - d)
-    while d > 0.25 * eps:
-        d *= 0.5
-        pts.append(1.0 - d)
-    pts.append(1.0)
-    nodes, weights = cusp_panels(np.array(pts, dtype=complex), 16, at_end=True)
-    return complex(np.sum(weights * _g_values(nodes, eps, 0)))
-
-
-def _geometric_leg(a: complex, b: complex, scale_at_a: float, coarse: float) -> list[complex]:
-    """Vertices from a to b whose spacing grows geometrically away from a."""
-    length = abs(b - a)
-    direction = (b - a) / length
-    pts = [a]
-    d = scale_at_a
-    while d < length:
-        pts.append(a + direction * d)
-        d = min(d * 2.0, d + coarse)
-    pts.append(b)
-    return pts
-
-
-def _int_g_first_period(eps: float, frac_targets: np.ndarray) -> np.ndarray:
-    """int_1^{1+frac} of (i/eps)(L0 - l0), boundary values from above.
-
-    The edge carries inverse-sqrt singularities at 1 + (l + 1/2) eps, so the
-    straight edge segment cannot be integrated through them.  Instead every
-    target is reached through the upper half plane, where the integrand is
-    analytic: up from 1 to 1 + ih (h = 0.45 eps), across at height h, and
-    down onto 1 + frac.  All targets are done in one pass.  The up leg is
-    shared: one 16-point panel mapped into the bounded sqrt cusp at 1.  The
-    across leg is one polyline whose vertices are a uniform grid (spacing at
-    most 0.15 eps) plus every target, so a cumulative sum of its panel
-    integrals gives every target's value.  Each down leg is graded
-    geometrically toward its target, starting at 0.05 r, where r (the
-    distance to 1 or to the nearest lattice singularity) is the radius of
-    the disc about the target in which the continuation of the integrand
-    from above is analytic; all down-leg nodes go through one kernel call.
-    Targets are refused within 1e-5 eps of a lattice singularity; the hook's
-    mapped edge panels keep their nodes at least 1.4e-5 eps away.
-    """
-    fracs = np.asarray(frac_targets, dtype=float)
-    out = np.zeros(fracs.shape, dtype=complex)
-    live = fracs > 1e-14
-    if not np.any(live):
-        return out
-    frac = fracs[live]
-    to_lattice = np.abs(frac - (np.round(frac / eps - 0.5) + 0.5) * eps)
-    if np.any(to_lattice < 1e-5 * eps):
-        raise QuadratureFailure(
-            "edge amplitude requested within 1e-5*eps of a lattice singularity"
-        )
-    h = 0.45 * eps
-    up, up_w = cusp_panels(np.array([1.0, 1.0 + 1j * h]), 16, at_start=True)
-
-    top = float(frac.max())
-    steps = max(2, int(np.ceil(top / (0.15 * eps))))
-    stops, where = np.unique(
-        np.concatenate([top * np.arange(steps + 1) / steps, frac]), return_inverse=True
+    xs = np.asarray(xs, dtype=float)
+    if np.any(xs < 1.0 - 1e-12):
+        raise ContourClash("upper_edge_amplitude expects points at or past 1")
+    m = np.floor((xs - 1.0) / eps + 1e-12).astype(int) + 1
+    x0 = xs - m * eps
+    _, first, inverse = np.unique(
+        np.round(x0 / eps, 12), return_index=True, return_inverse=True
     )
-    across, across_w = gl_panels(1.0 + 1j * h + stops, 8)
-
-    start = np.maximum(0.05 * np.minimum(frac, to_lattice), 1e-10 * eps)
-    legs = [
-        gl_panels(np.array(_geometric_leg(x, x + 1j * h, d, 0.2 * eps)), 8)
-        for x, d in zip(1.0 + frac, start)
-    ]
-    owner = np.repeat(np.arange(frac.size), [nodes.size for nodes, _ in legs])
-    down = np.concatenate([nodes.ravel() for nodes, _ in legs])
-    down_w = np.concatenate([w.ravel() for _, w in legs])
-
-    g = _g_values(np.concatenate([up.ravel(), across.ravel(), down]), eps, 1)
-    g_up, g_across, g_down = np.split(g, [up.size, up.size + across.size])
-    up_part = np.sum(up_w.ravel() * g_up)
-    across_cum = np.concatenate(
-        [[0.0], np.cumsum(np.sum(across_w * g_across.reshape(across.shape), axis=1))]
-    )
-    # the down legs are integrated upward, so their parts enter with a minus
-    wg = down_w * g_down
-    down_part = np.bincount(owner, wg.real) + 1j * np.bincount(owner, wg.imag)
-    out[live] = up_part + across_cum[where[steps + 1:]] - down_part
-    return out
+    below = x0[first]
+    pts = np.union1d(_route_from_origin(complex(below[-1]), eps).real, below)
+    (_, _, cum), est = path_cumulative(pts, eps)
+    out = np.exp(cum[np.searchsorted(pts, below)])[inverse]
+    for j in range(int(m.max())):
+        mask = m > j
+        out[mask] *= rho0(xs[mask] - (m[mask] - j - 0.5) * eps, side=1)
+    # the int_l0 phases of the steps telescope into one closed form
+    phase = (1j / eps) * (int_l0(x0, side=1) - int_l0(xs, side=1))
+    return out * np.exp(phase), est
 
 
 def upper_edge_amplitude(eps: float, xs: np.ndarray) -> np.ndarray:
     """A on the upper edge of [1, inf) at the points xs (array, each >= 1).
 
-    One batched quadrature over the distinct positions within the first
-    period (keyed by frac/eps to 12 digits); every further period is an
-    exact closed-form recursion step, so arbitrarily long edge segments cost
-    O(length/eps) cheap factor products.
+    One amplitude sweep along the real axis just below 1, then one exact
+    recursion step per eps-period (see `_upper_edge`), so an edge segment
+    of any length costs O(length/eps) closed-form factors.  The lattice
+    singularities 1 + (l + 1/2) eps of L0 are never met by a quadrature:
+    A is evaluated there as anywhere else.
     """
-    xs = np.asarray(xs, dtype=float)
-    if np.any(xs < 1.0 - 1e-12):
-        raise ContourClash("upper_edge_amplitude expects points at or past 1")
-    m = np.floor((xs - 1.0) / eps + 1e-12).astype(int)
-    m = np.maximum(m, 0)
-    frac = xs - 1.0 - m * eps
-    neg = frac < 0.0
-    m[neg] -= 1
-    frac[neg] += eps
+    return _upper_edge(eps, xs)[0]
 
-    keys, inverse = np.unique(np.round(frac / eps, 12), return_inverse=True)
-    lnA_x0 = _lnA_at_one(eps) + _int_g_first_period(eps, keys * eps)[inverse]
 
-    out = np.exp(lnA_x0)
-    m_max = int(m.max()) if m.size else 0
-    if m_max > 0:
-        x0 = 1.0 + frac
-        ratio = np.ones_like(out)
-        for j in range(m_max):
-            mask = m > j
-            if not np.any(mask):
-                break
-            mid = x0[mask] + (j + 0.5) * eps
-            step = np.asarray(rho0(mid, side=1))
-            ratio[mask] *= step
-        # the int_l0 phase between x0 and x telescopes into one closed form
-        phase = np.exp(
-            (1j / eps)
-            * (np.asarray(int_l0(x0, side=1)) - np.asarray(int_l0(xs, side=1)))
-        )
-        # A picks up int_l0(x0) - int_l0(x); rho products supply the rest
-        out = out * ratio * phase
-    return out
+@lru_cache(maxsize=_EPS_SLOTS)
+def _lnA_at_one(eps: float) -> complex:
+    """A logarithm of A(1): one recursion step from A(1 - eps) on the real axis."""
+    return complex(np.log(upper_edge_amplitude(eps, np.array([1.0]))[0]))
 
 
 def _meets_cut(points: np.ndarray) -> bool:

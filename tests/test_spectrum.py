@@ -51,6 +51,27 @@ def test_p_n_array_and_monotonicity():
     assert abs(p_n(1, tau_threshold(1)) - 1.0) < 1e-12
 
 
+def _bisected_p_n(n, tau):
+    """The 64-step bisection on [0, 1] that the Newton solve replaced, frozen."""
+    lo, hi = np.zeros_like(tau), np.ones_like(tau)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        low_side = (1.0 - tau) * mid + np.arcsin(mid) < np.pi * n
+        lo, hi = np.where(low_side, mid, lo), np.where(low_side, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_p_n_matches_frozen_bisection(n):
+    # at the threshold and from 1e-12 to 50 below it; against 40-digit
+    # mpmath roots the bisection is off by up to 2.5e-16, the Newton solve
+    # by up to 1.9e-16, so two units at p = 1 cover both
+    below = np.concatenate([[0.0], np.geomspace(1e-12, 50.0, 400)])
+    tau = tau_threshold(n) - below
+    assert np.max(np.abs(p_n(n, tau) - _bisected_p_n(n, tau))) <= 4.5e-16
+    assert p_n(n, tau_threshold(n)) == 1.0
+
+
 def test_p_n_past_threshold_raises():
     with pytest.raises(NoEigenvalue):
         p_n(1, tau_threshold(1) + 0.01)

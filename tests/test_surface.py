@@ -2,8 +2,9 @@
 
 The benchmark's tracer (adiabench/tracing.py) replaces module attributes by
 name, so a renamed or removed attribute would only show up as a failed
-traced run; every ``__all__`` entry must name something real; and every memo
-in the package must be an ``lru_cache`` with a finite bound.
+traced run; every ``__all__`` entry must name something real; every memo
+in the package must be an ``lru_cache`` with a finite bound; and every error
+class must be raised somewhere in the package.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import pkgutil
 from pathlib import Path
 
 import adiawell
+from adiawell import errors
 
 _TRACING = Path(__file__).resolve().parents[1] / "adiabench" / "tracing.py"
 
@@ -70,3 +72,19 @@ def test_every_memo_is_bounded():
         if name.endswith("_CACHE")
     ]
     assert dict_caches == []
+
+
+def test_every_error_class_is_raised():
+    sources = "\n".join(
+        path.read_text()
+        for path in Path(adiawell.__file__).parent.glob("*.py")
+        if path.name != "errors.py"
+    )
+    classes = [
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.AdiawellError)
+        and obj is not errors.AdiawellError
+    ]
+    assert classes
+    unraised = [name for name in classes if f"raise {name}(" not in sources]
+    assert unraised == []

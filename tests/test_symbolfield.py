@@ -9,9 +9,11 @@ seam 1 - |Re p| = 0.45 eps past which anchors were relocated; the two
 collar points nearest the tip and the seam points also at every
 quarter-integer s, around the kernel poles at s = +-i/2), and the
 nested R0 value by a 20-digit double quadrature of the kernel inside the
-path integral.  Everything else is checked against defining identities
-(difference equations, symmetry laws) or scaling forms whose
-constants the tests measure rather than assume.
+path integral.  The upper-edge amplitude, which the code carries from the
+real axis by a recursion, is checked against a quadrature along a graded
+route through the upper half plane built here.  Everything else is checked
+against defining identities (difference equations, symmetry laws) or
+scaling forms whose constants the tests measure rather than assume.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ import pytest
 
 from adiawell import symbolfield as sf
 from adiawell import wavefield as wfd
-from adiawell._panels import gl_panels
+from adiawell._panels import cusp_panels
 from adiawell.branches import int_l0, l0, l0_prime, rho0
-from adiawell.errors import ContourClash, QuadratureFailure
+from adiawell.errors import ContourClash
 from adiawell.special import zeta_fn
 
 # mpmath references (see module docstring)
@@ -271,16 +273,6 @@ def test_amplitude_unimodular_on_interval():
 # ---------------------------------------------------------------------
 
 
-def test_upper_edge_recursion_matches_direct_quadrature():
-    eps = 0.1
-    frac = 0.23 * eps
-    direct = np.exp(
-        sf._lnA_at_one(eps) + sf._int_g_first_period(eps, np.array([frac + eps]))[0]
-    )
-    recursed = sf.upper_edge_amplitude(eps, np.array([1.0 + frac + eps]))[0]
-    assert abs(direct - recursed) < 1e-9
-
-
 def test_upper_edge_continuity_from_above():
     eps = 0.1
     x = 1.0 + 0.37 * eps
@@ -293,7 +285,8 @@ def test_boundary_r_decays_superexponentially():
     eps = 0.1
     xs = np.array([1.0 + 0.3 * eps, 1.0 + 0.3 * eps + 5 * eps, 1.0 + 0.3 * eps + 10 * eps])
     mags = np.array([abs(sf.r0(x, eps).value) for x in xs])
-    assert mags[0] < 1.0
+    # |R0| = 1 exactly up to 1 + eps/2: R0(x) = R0(x - eps) rho0(x - eps/2) there
+    assert abs(mags[0] - 1.0) <= 1e-14
     assert mags[1] < 0.05 * mags[0]
     assert mags[2] < 0.05 * mags[1]
     # the decay exponent is the edge phase volume; amplitude stays O(1)
@@ -303,55 +296,102 @@ def test_boundary_r_decays_superexponentially():
     assert abs(sf.r0(-xs[0], eps).value - sf.r0(xs[0], eps).value) == 0.0
 
 
-def _per_target_route(eps, frac_targets):
-    """The first-period edge integral, each target on its own polyline.
+def _graded_route_ln_a(eps, xs):
+    """ln A on the upper edge by a graded route through the upper half plane.
 
-    A frozen copy of the route the batched pass replaced: up from 1 to
-    1 + 0.45i eps, across in ceil(frac / 0.15 eps) equal steps, down onto
-    the target with panels graded from 1e-10 eps.  The up leg is the same
-    for every target, so it is integrated once; all nodes go through one
-    kernel call.
+    Along the real axis from 0 to 1 (panels halving toward the sqrt cusp at 1
+    down to 1e-6 eps, the last one mapped into it), up to 1 + 0.45i eps
+    (panels halving toward 1 down to 1e-6 of the leg, the first one mapped),
+    across at that height in steps of at most 0.1 eps, and down onto x in
+    panels halving until they are a quarter of the distance from x to the
+    nearest singularity on the edge (1 or a lattice point 1 + (l + 1/2) eps),
+    the last one mapped into x, which may be that singularity itself.  Every
+    leg takes the 16-point rule.
     """
+
+    def integral(edges, side, **cusp):
+        nodes, w = cusp_panels(np.asarray(edges, dtype=complex), 16, **cusp)
+        return np.sum(w * sf._g_values(nodes, eps, side))
+
+    to_one = 0.3 * 0.5 ** np.arange(int(np.log2(0.3 / (1e-6 * eps))) + 1)
     h = 0.45 * eps
-    up = sf._geometric_leg(1.0 + 0.0j, 1.0 + 1j * h, 1e-9, 0.2 * eps)
-    up_nodes, up_w = gl_panels(np.array(up), 8)
-    legs = []
-    for frac in frac_targets:
-        across_n = max(2, int(np.ceil(frac / (0.15 * eps))))
-        across = list(1.0 + 1j * h + frac * np.arange(1, across_n + 1) / across_n)
-        down = sf._geometric_leg(1.0 + frac + 0.0j, 1.0 + frac + 1j * h, 1e-10 * eps, 0.2 * eps)
-        legs.append(gl_panels(np.array([1.0 + 1j * h] + across + list(reversed(down))[1:]), 8))
-    owner = np.repeat(np.arange(len(legs)), [nodes.size for nodes, _ in legs])
-    nodes = np.concatenate([up_nodes.ravel()] + [nodes.ravel() for nodes, _ in legs])
-    weights = np.concatenate([w.ravel() for _, w in legs])
-    g = sf._g_values(nodes, eps, 1)
-    wg = weights * g[up_nodes.size:]
-    rest = np.bincount(owner, wg.real) + 1j * np.bincount(owner, wg.imag)
-    return np.sum(up_w.ravel() * g[: up_nodes.size]) + rest
+    heights = h * 0.5 ** np.arange(21)
+    base = integral(np.concatenate([[0.0, 0.35], 1.0 - to_one, [1.0]]), 0, at_end=True)
+    base += integral(1.0 + 1j * np.concatenate([[0.0], heights[::-1]]), 1, at_start=True)
+    out = []
+    for x in xs:
+        steps = max(2, int(np.ceil((x - 1.0) / (0.1 * eps))))
+        across = integral(1.0 + 1j * h + (x - 1.0) * np.arange(steps + 1) / steps, 1)
+        u = (x - 1.0) / eps - 0.5
+        r = min(x - 1.0, eps * abs(u - np.round(u)))
+        down = [h]
+        while down[-1] > 0.25 * r and len(down) < 45:
+            down.append(0.5 * down[-1])
+        out.append(base + across + integral(x + 1j * np.array(down + [0.0]), 1, at_end=True))
+    return np.array(out)
 
 
-def _hook_edge_keys(eps):
-    """frac / eps of every node of both hook-edge tables, as upper_edge_amplitude keys them."""
-    xs = np.concatenate([wfd._plus_tables(eps, rule)["xs"] for rule in (8, 16)])
-    m = np.floor((xs - 1.0) / eps + 1e-12).astype(int)
-    frac = xs - 1.0 - m * eps
-    frac[frac < 0.0] += eps
-    return np.unique(np.round(frac / eps, 12))
+def _nearest_hook_nodes(eps, count=4):
+    """The hook's 16-point upper-edge nodes nearest the lattice singularity 1 + eps/2."""
+    xs = wfd._plus_tables(eps, 16)["xs"]
+    return xs[np.argsort(np.abs(xs - 1.0 - 0.5 * eps))[:count]]
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.125, 0.1, 0.05])
+def test_upper_edge_matches_graded_route(eps):
+    # generic places in the first three periods, and the hook nodes 1.4e-5 eps
+    # to 1.1e-3 eps from 1 + eps/2, where the first-period quadrature that the
+    # real-axis recursion replaced was off by up to 6.4e-11
+    xs = np.concatenate(
+        [1.0 + eps * np.array([0.01, 0.23, 0.37, 0.62, 0.9, 1.23, 2.3]), _nearest_hook_nodes(eps)]
+    )
+    ref = np.exp(_graded_route_ln_a(eps, xs))
+    assert np.max(np.abs(sf.upper_edge_amplitude(eps, xs) / ref - 1.0)) <= 1e-12
+
+
+def test_upper_edge_at_lattice_singularities():
+    # the integrand has inverse-sqrt singularities there; A is finite
+    eps = 0.1
+    xs = 1.0 + eps * np.array([0.5, 0.5 + 5e-6, 1.5])
+    vals = sf.upper_edge_amplitude(eps, xs)
+    assert np.all(np.isfinite(vals))
+    assert np.max(np.abs(vals / np.exp(_graded_route_ln_a(eps, xs)) - 1.0)) <= 1e-12
+
+
+def test_upper_edge_batch_matches_single_calls():
+    eps = 0.1
+    lone = 1.0 + eps * np.array([0.0, 0.23, 0.5, 0.5 + 3e-5, 1.23, 0.999, 7.5])
+    batch = np.concatenate([1.0 + np.linspace(0.01, 3.97, 37) * eps, lone])
+    vals = sf.upper_edge_amplitude(eps, batch)
+    for x, val in zip(lone, vals[37:]):
+        assert abs(val - sf.upper_edge_amplitude(eps, np.array([x]))[0]) <= 1e-14
+    # A(1) is the memoized one-step value
+    assert abs(vals[37] - np.exp(sf._lnA_at_one(eps))) <= 1e-14
+
+
+def test_edge_amplitude_bar_bounds_its_error():
+    eps = 0.125
+    xs = np.concatenate([1.0 + eps * np.array([0.3, 0.5, 2.7]), _nearest_hook_nodes(eps, 2)])
+    ref = np.exp(_graded_route_ln_a(eps, xs))
+    for x, a in zip(xs, ref):
+        rep = sf.amplitude_a(x, eps)
+        assert abs(rep.value / a - 1.0) <= rep.est_error <= 1e-10
 
 
 @pytest.mark.parametrize("eps", [0.2, 0.125, 0.05])
 def test_hook_edge_nodes_clear_the_lattice_singularities(eps):
-    # the edge amplitude refuses targets within 1e-5 eps of 1 + (l + 1/2) eps
+    # the cusps of A at 1 + (l + 1/2) eps are panel ends, so the mapped panels
+    # keep every node off them (the nearest sits 1.4e-5 eps away)
     for rule in (8, 16):
         u = (wfd._plus_tables(eps, rule)["xs"] - 1.0) / eps - 0.5
         assert np.min(np.abs(u - np.round(u))) >= 1e-5
 
 
 @pytest.mark.parametrize("eps", [0.2, 0.125, 0.05])
-def test_batched_edge_integral_matches_per_target_route(eps, monkeypatch):
-    keys = _hook_edge_keys(eps)
-    # one mapped panel per half-period: 72 keys (the graded periods had ~700)
-    assert keys.size <= 100
+def test_edge_tables_work(eps, monkeypatch):
+    # L0 ladder points for both hook-edge tables: 275k-295k for the one
+    # real-axis sweep; the first-period quadrature took 1.07M
+    tables = [wfd._plus_tables(eps, rule)["xs"] for rule in (8, 16)]
     count = [0]
     raw = sf._l0_raw
 
@@ -360,25 +400,9 @@ def test_batched_edge_integral_matches_per_target_route(eps, monkeypatch):
         return raw(z, side)
 
     monkeypatch.setattr(sf, "_l0_raw", counted)
-    batched = sf._int_g_first_period(eps, keys * eps)
-    # L0 ladder points of the whole table (1.06M); the per-target route took 57M
-    # on the graded periods' 700 keys
-    assert count[0] <= 1_500_000
-    monkeypatch.undo()
-    assert np.max(np.abs(batched - _per_target_route(eps, keys * eps))) <= 1e-12
-
-
-def test_batched_edge_integral_targets_are_independent():
-    eps = 0.1
-    lone = [0.23 * eps, 0.5 * eps + 3e-5 * eps, 0.23 * eps + eps, 0.999 * eps]
-    batch = np.concatenate([np.linspace(0.01, 0.97, 37) * eps, lone, [0.0, 1e-15]])
-    vals = sf._int_g_first_period(eps, batch)
-    for frac, val in zip(lone, vals[37:41]):
-        assert abs(val - sf._int_g_first_period(eps, np.array([frac]))[0]) <= 1e-14
-    # targets past one period are accepted and agree with the per-target route
-    assert abs(vals[39] - _per_target_route(eps, [0.23 * eps + eps])[0]) <= 1e-12
-    # targets at the branch point itself give 0
-    assert vals[-2] == 0.0 and vals[-1] == 0.0
+    for xs in tables:
+        sf.upper_edge_amplitude(eps, xs)
+    assert count[0] <= 400_000
 
 
 def test_eps_memo_stays_within_its_bound():
@@ -399,11 +423,6 @@ def test_eps_memo_stays_within_its_bound():
 def test_contour_guards():
     with pytest.raises(ContourClash):
         sf.upper_edge_amplitude(0.1, np.array([0.8]))
-    with pytest.raises(QuadratureFailure):
-        sf._int_g_first_period(0.1, np.array([0.5 * 0.1]))
-    # one target near a lattice point fails the whole batch
-    with pytest.raises(QuadratureFailure):
-        sf._int_g_first_period(0.1, np.array([0.02, 0.05 + 0.5e-6, 0.08]))
     with pytest.raises(ContourClash):
         sf.amplitude_a(-1.7, 0.1)
 
