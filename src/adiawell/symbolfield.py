@@ -15,11 +15,17 @@ real cuts, and the amplitude A(p) = exp((i/eps) int_0^p (L0 - l0)).
 Evaluation strategy
 -------------------
 * Straight vertical kernel contour whenever it stays clear of the cuts:
-  a single fixed trapezoid ladder (step 0.1, truncated at |s| = 8) is
-  spectrally accurate because the integrand is analytic in a strip of
-  half-width 0.5 around the real s-axis there (kernel poles sit at
-  s = +-i/2, the branch-point preimages at vertical distance
-  (1 - |Re p|)/eps >= 1).
+  one fixed pole-corrected trapezoid ladder (step h = 0.2, 61 nodes up to
+  |s| = 6).  Within the kernel's reach the integrand is meromorphic in the
+  strip |Im s| < 1: its only poles there are the kernel's double poles at
+  s = +-i/2, where l0 takes the values l0(p -+ eps/2), and the branch-point
+  preimages sit at vertical distance (1 - |Re p|)/eps >= 1.  The trapezoid
+  rule's error from the poles is a closed form in exp(-pi/h) and l0, l0' at
+  p -+ eps/2 (Trefethen and Weideman, The exponentially convergent
+  trapezoidal rule, SIAM Rev. 56 (2014) 385), which the ladder subtracts.
+  The branch points leave O(exp(-2 pi/h)) = 2e-14 at most, below rounding
+  against 30-digit references, so the ladder is accurate to rounding.  The
+  two pole values ride in the same batched l0 call as the nodes.
 * When the straight contour would cross a cut (|Re p| >= 1 with
   |Im p| <~ 6.5 eps), or would pass within eps of a branch point (the
   collar 1 - |Re p| < eps, where the branch-point preimages come closer to
@@ -38,14 +44,16 @@ Evaluation strategy
   16-point rule along a polyline: its weights give ln A at the vertices, and
   partial integrals of the degree-15 interpolant of g give it anywhere inside
   a segment (dense output).  `path_cumulative` sweeps each polyline once and
-  bounds its error by the top Legendre coefficients of those interpolants.
+  bounds its error by the top Legendre coefficients of those interpolants;
+  `amplitude_along` grades a contour's segments toward +-1 before it sweeps.
 * The amplitude on the upper edge of [1, inf) - needed by the post-threshold
   contour - is carried there from the real axis just below 1 by the exact
   recursion A(p + eps) = rho0(p + eps/2) A(p) exp((i/eps)(int_l0(p) -
   int_l0(p + eps))), which follows from the R0 difference equation.  One
-  sweep along the interval gives A at every starting point in [1 - eps, 1),
-  so no quadrature runs along the edge, where the integrand has
-  inverse-sqrt singularities at the lattice points 1 + (l + 1/2) eps.
+  sweep along the interval gives A at the real points asked for below 1 and
+  at every starting point in [1 - eps, 1), so no quadrature runs along the
+  edge, where the integrand has inverse-sqrt singularities at the lattice
+  points 1 + (l + 1/2) eps.
 
 All heavy entry points are vectorized over arrays of evaluation points and
 share one batched kernel call; scalar wrappers return a QuadratureReport with
@@ -62,7 +70,7 @@ import numpy as np
 from numpy.polynomial.legendre import legint, legvander
 
 from ._panels import gl_panels, gl_rule
-from .branches import _l0_raw, int_l0, l0_prime, rho0
+from .branches import _l0_raw, _q0_raw, int_l0, l0, l0_prime, rho0
 from .errors import ContourClash
 
 __all__ = [
@@ -78,23 +86,32 @@ __all__ = [
 # kernel ladder constants
 # ---------------------------------------------------------------------
 
-_S_MAX = 8.0          # kernel truncation; sech^2(pi*8) ~ 4e-22
-_S_STEP = 0.1         # trapezoid step; analytic strip of half-width 0.5
+_S_MAX = 6.0          # kernel truncation; sech^2(pi*6) ~ 2e-16
+_S_STEP = 0.2         # trapezoid step; the kernel's double poles sit at s = +-i/2
 _CROSS_S = 6.5        # relocate if a cut crossing is within this many eps
 # anchors within _COLLAR_D eps of a branch point relocate, so that no ladder
 # meets a branch-point preimage nearer the s-axis than the kernel poles
 _COLLAR_D = 1.0
 
 _S_GRID = np.arange(-int(round(_S_MAX / _S_STEP)), int(round(_S_MAX / _S_STEP)) + 1) * _S_STEP
-_KERNEL_W = 0.5 * np.pi * _S_STEP / np.cosh(np.pi * _S_GRID) ** 2
-# the kernel integrates to 1; the ladder's own sum is 1 + 2.9e-12, an error
-# every L0 value would carry in proportion to |L0|
-_KERNEL_W /= _KERNEL_W.sum()
+# the ladder's columns: the 61 nodes, then the kernel's double poles
+# s = +i/2 and -i/2, where the integrand takes l0(q - eps/2) and l0(q + eps/2)
+_S_COLUMNS = np.concatenate([_S_GRID, [0.5j, -0.5j]])
+# The rule's error from the poles, summed over all aliases (see the module
+# docstring), is (2 pi/h) w1 (l0(q - eps/2) + l0(q + eps/2)) + eps w0
+# (l0'(q - eps/2) - l0'(q + eps/2)) with u0 = exp(-pi/h), w0 = u0/(1 - u0)
+# and w1 = w0/(1 - u0).  Its first part rides on the pole columns as weights;
+# for l0 = 1 it is the ladder's excess 9.5e-6 over the kernel's 1.
+_U0 = np.exp(-np.pi / _S_STEP)
+_POLE_W0 = _U0 / (1.0 - _U0)
+_KERNEL_W = np.append(
+    0.5 * np.pi * _S_STEP / np.cosh(np.pi * _S_GRID) ** 2,
+    [-2.0 * np.pi / _S_STEP * _POLE_W0 / (1.0 - _U0)] * 2,
+)
 
-# L0 error bars, sized against 30-digit mpmath kernel integrals: the straight
-# ladder's error is at most 8.4e-13 * eps^2 * |l0''| at the anchor, rounding
-# adds a few units in the last place
-_REGULAR_EST = 2e-12
+# L0 error bars, sized against 30-digit mpmath kernel integrals: with the
+# pole error taken out, the rule's error is rounding, a few units in the
+# last place of the ladder's values
 _ROUNDING_EST = 1e-15
 # relative error allowed in A for the ladder's own error, which no refinement
 # of the path quadrature sees (it also makes A slightly path dependent where
@@ -103,7 +120,7 @@ _LADDER_EST = 2e-11
 
 # memo bound: tables per eps (a process works at a few eps at a time)
 _EPS_SLOTS = 8
-# ladder anchors per block: each (anchors x 161) temporary stays near 10 MB
+# ladder anchors per block: each (anchors x 63) temporary stays near 4 MB
 _ANCHOR_BLOCK = 4096
 
 
@@ -121,14 +138,16 @@ class QuadratureReport:
 
 
 def _kernel_straight(z: np.ndarray, eps: float, side) -> np.ndarray:
-    """Trapezoid ladder for anchors whose vertical contour clears the cuts."""
+    """Pole-corrected trapezoid ladder at anchors whose vertical contour clears the cuts."""
     side_arr = np.broadcast_to(np.asarray(side), z.shape)
     out = np.empty(z.shape, dtype=complex)
     for lo in range(0, z.size, _ANCHOR_BLOCK):
         block = slice(lo, lo + _ANCHOR_BLOCK)
-        args = z[block, None] + 1j * eps * _S_GRID[None, :]
+        args = z[block, None] + 1j * eps * _S_COLUMNS[None, :]
         vals = _l0_raw(args, np.broadcast_to(side_arr[block, None], args.shape))
-        out[block] = vals @ _KERNEL_W
+        # l0' = 2i / q0 at the poles' images q -+ eps/2
+        slopes = 2j / _q0_raw(args[:, -2:], side_arr[block, None])
+        out[block] = vals @ _KERNEL_W - eps * _POLE_W0 * (slopes[:, 0] - slopes[:, 1])
     return out
 
 
@@ -175,11 +194,10 @@ def _estimate_l_error(p, eps: float) -> float:
     """Error bar of L0(p), following the route _big_l_values takes at p."""
     z = complex(p)
     anchor, _, m_steps = _relocation(np.asarray(z), eps)
-    # the kernel runs at the anchor; the relocation sum rounds once per step
+    # the ladder rounds in proportion to its values, about l0 at the anchor;
+    # the relocation sum rounds once per step
     relocation = 1e-15 * (abs(z.real) + 1.0) / eps if m_steps else 0.0
-    q = complex(anchor)
-    l0_second = abs(2.0 * q) / abs(1.0 - q * q) ** 1.5
-    return _REGULAR_EST * eps**2 * l0_second + _ROUNDING_EST + relocation
+    return _ROUNDING_EST * (1.0 + abs(l0(complex(anchor)))) + relocation
 
 
 # =====================================================================
@@ -279,7 +297,7 @@ def amplitude_a(p, eps: float) -> QuadratureReport:
     if z == 0.0:
         return QuadratureReport(1.0 + 0.0j, 0.0)
     if z.imag == 0.0 and z.real >= 1.0:
-        val, est = _upper_edge(eps, np.array([z.real]))
+        val, est = _real_amplitude(eps, np.array([z.real]))
         return QuadratureReport(complex(val[0]), est + _LADDER_EST)
     (_, _, cum), est = path_cumulative(_route_from_origin(z, eps), eps)
     return QuadratureReport(complex(np.exp(cum[-1])), est + _LADDER_EST)
@@ -300,18 +318,20 @@ def r0(p, eps: float) -> QuadratureReport:
 
 
 # =====================================================================
-# the upper edge of [1, inf): one real-axis sweep + exact recursion
+# the real axis and the upper edge of [1, inf): one sweep + exact recursion
 # =====================================================================
 
 
-def _upper_edge(eps: float, xs: np.ndarray) -> tuple[np.ndarray, float]:
-    """A on the upper edge at the points xs, and the bar of its real-axis sweep.
+def _real_amplitude(eps: float, xs: np.ndarray) -> tuple[np.ndarray, float]:
+    """A at real points xs >= 0, on the upper edge past 1, and the bar of its sweep.
 
-    Every x is written as x0 + m eps with x0 in [1 - eps, 1).  ln A(x0) comes
-    from one `path_cumulative` sweep along the route from the origin to the
-    largest x0, with every x0 a vertex; the x0 are keyed by x0/eps to 12
-    digits, so edge points at the same place in different periods share one
-    vertex.  Each period is then one exact step of the R0 difference equation,
+    Every x is written as x0 + m eps with x0 in [0, 1) and m as small as
+    that allows, so m = 0 below 1 - eps and x0 is in [1 - eps, 1) on the
+    edge.  ln A(x0) comes from one `path_cumulative` sweep along the route
+    from the origin to the largest x0, with every x0 a vertex; the x0 are
+    keyed by x0/eps to 12 digits, so edge points at the same place in
+    different periods share one vertex.  Each period is then one exact step
+    of the R0 difference equation,
     A(p + eps) = rho0(p + eps/2) A(p) exp((i/eps)(int_l0(p) - int_l0(p + eps))).
     The steps use the exact x0 and take their rho0 midpoints as
     x - (m - j - 1/2) eps, the rounding by which the relocation sum of L0
@@ -319,9 +339,7 @@ def _upper_edge(eps: float, xs: np.ndarray) -> tuple[np.ndarray, float]:
     1 + (l + 1/2) eps, where a shift of one ulp moves A by about 1e-8.
     """
     xs = np.asarray(xs, dtype=float)
-    if np.any(xs < 1.0 - 1e-12):
-        raise ContourClash("upper_edge_amplitude expects points at or past 1")
-    m = np.floor((xs - 1.0) / eps + 1e-12).astype(int) + 1
+    m = np.maximum(np.floor((xs - 1.0) / eps + 1e-12).astype(int) + 1, 0)
     x0 = xs - m * eps
     _, first, inverse = np.unique(
         np.round(x0 / eps, 12), return_index=True, return_inverse=True
@@ -342,12 +360,14 @@ def upper_edge_amplitude(eps: float, xs: np.ndarray) -> np.ndarray:
     """A on the upper edge of [1, inf) at the points xs (array, each >= 1).
 
     One amplitude sweep along the real axis just below 1, then one exact
-    recursion step per eps-period (see `_upper_edge`), so an edge segment
+    recursion step per eps-period (see `_real_amplitude`), so an edge segment
     of any length costs O(length/eps) closed-form factors.  The lattice
     singularities 1 + (l + 1/2) eps of L0 are never met by a quadrature:
     A is evaluated there as anywhere else.
     """
-    return _upper_edge(eps, xs)[0]
+    if np.any(np.asarray(xs) < 1.0 - 1e-12):
+        raise ContourClash("upper_edge_amplitude expects points at or past 1")
+    return _real_amplitude(eps, xs)[0]
 
 
 @lru_cache(maxsize=_EPS_SLOTS)
@@ -366,13 +386,31 @@ def _meets_cut(points: np.ndarray) -> bool:
     return bool(np.any(on_cut) or np.any(np.abs(x) >= 1.0))
 
 
+def _graded_breaks(a: complex, b: complex, lo: float = 0.0, hi: float = 1.0) -> list[float]:
+    """Left ends, as fractions of [a, b], of graded pieces of its part [lo, hi].
+
+    A piece is halved while it is longer than 0.3 of its distance to +-1
+    (taken as its midpoint's, less half its length; with the floor of
+    `_route_from_origin`), so that the 16-point rule resolves the sqrt
+    structure of L0 next to the branch points.
+    """
+    mid, length = a + 0.5 * (lo + hi) * (b - a), (hi - lo) * abs(b - a)
+    near = min(abs(mid - 1.0), abs(mid + 1.0)) - 0.5 * length
+    if length <= max(0.3 * near, 1e-9):
+        return [lo]
+    half = 0.5 * (lo + hi)
+    return _graded_breaks(a, b, lo, half) + _graded_breaks(a, b, half, hi)
+
+
 def amplitude_along(verts, eps: float) -> tuple[dict[int, np.ndarray], float]:
     """A at the nodes of the 8- and 16-point Gauss rules on a contour.
 
     One `path_cumulative` over the straight route from 0 to the first vertex
-    followed by the vertex polyline `verts`; ln A at the nodes of both rules
-    comes from the dense output of its sweep.  The error estimate
-    (relative, as for ln A) adds the ladder allowance to the sweep's own.
+    followed by the vertex polyline `verts`, its segments cut into graded
+    pieces near +-1 (`_graded_breaks`); ln A at the nodes of both rules on
+    the uncut segments comes from the dense output of its sweep on the pieces.
+    The error estimate (relative, as for ln A) adds the ladder allowance to
+    the sweep's own.
 
     Returns ({8: A, 16: A}, est_error), each A in the node order of
     gl_panels(verts, rule).ravel().  A polyline that meets a cut would carry
@@ -382,8 +420,17 @@ def amplitude_along(verts, eps: float) -> tuple[dict[int, np.ndarray], float]:
     if _meets_cut(pts):
         raise ContourClash("amplitude polyline meets a cut |Re p| >= 1 of the real axis")
     route = _route_from_origin(complex(pts[0]), eps)
-    sweep, est = path_cumulative(np.concatenate([route, pts[1:]]), eps)
-    # after r route segments, contour segment j is sweep segment r + j
-    seg = route.size - 1 + np.arange(pts.size - 1)
-    amps = np.exp(_dense(sweep, seg[:, None], _TARGETS))
+    frac = 0.5 * (_TARGETS + 1.0)
+    pieces, seg, u = [route], [], []
+    first = route.size - 1
+    for a, b in zip(pts[:-1], pts[1:]):
+        breaks = np.array(_graded_breaks(a, b) + [1.0])
+        pieces.append(a + breaks[1:] * (b - a))
+        # each node of the segment on the piece that holds it, rescaled to it
+        k = np.searchsorted(breaks, frac, side="right") - 1
+        seg.append(first + k)
+        u.append(2.0 * (frac - breaks[k]) / (breaks[k + 1] - breaks[k]) - 1.0)
+        first += breaks.size - 1
+    sweep, est = path_cumulative(np.concatenate(pieces), eps)
+    amps = np.exp(_dense(sweep, np.array(seg), np.array(u)))
     return {8: amps[:, :8].ravel(), 16: amps[:, 8:].ravel()}, est + _LADDER_EST

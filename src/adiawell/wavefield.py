@@ -96,7 +96,7 @@ from .symbolfield import (
     _g_values,  # noqa: F401  (unused here; adiabench/tracing.py wraps it)
     _lnA_at_one,
     _meets_cut,
-    _route_from_origin,
+    _real_amplitude,
     amplitude_along,
     path_cumulative,
     r0,
@@ -706,25 +706,12 @@ def outgoing_factor(p, eps: float):
 def _r_real(ks: np.ndarray, eps: float) -> np.ndarray:
     """Boundary values R(k) on the real axis, batched (R is even).
 
-    Interior points are vertices of one amplitude sweep from the origin,
-    whose route is graded toward the sqrt cusp at 1; edge points go through
-    the cached per-period recursion.
+    A comes from one real-axis sweep, carried onto the edge past 1 by the
+    per-period recursion (`_real_amplitude`).
     """
     av = np.abs(np.asarray(ks, dtype=float))
-    uniq, inverse = np.unique(av, return_inverse=True)
-    vals = np.empty(uniq.shape, dtype=complex)
-    interior = uniq < 1.0
-    if np.any(interior):
-        inner = uniq[interior]
-        pts = np.union1d(_route_from_origin(complex(inner[-1]), eps).real, inner)
-        (_, _, cum), _ = path_cumulative(pts, eps)
-        amps = np.exp(cum[np.searchsorted(pts, inner)])
-        vals[interior] = amps * np.exp(1j / eps * np.asarray(int_l0(inner)))
-    if np.any(~interior):
-        xs = uniq[~interior]
-        amps = upper_edge_amplitude(eps, xs)
-        vals[~interior] = amps * np.exp(1j / eps * np.asarray(int_l0(xs, side=1)))
-    return vals[inverse]
+    amps, _ = _real_amplitude(eps, av)
+    return amps * np.exp(1j / eps * np.asarray(int_l0(av, side=1)))
 
 
 def _lattice(p: float, eps: float) -> np.ndarray:

@@ -132,10 +132,10 @@ def test_criterion_06_dual_route_cross_validation():
     for frac in (0.111, 0.287, 0.455):
         v, d = wfd.interface_residuals(P02, -10.0, frac * 0.2)
         val_gap, der_gap = max(val_gap, v), max(der_gap, d)
-    ok = gap <= 1e-5 and val_gap <= 1e-11 and der_gap <= 1e-11
+    ok = gap <= 1e-5 and val_gap <= 1e-12 and der_gap <= 1e-12
     _report(6, ok,
             f"contour vs lattice-sum gap {gap:.2e} (tol 1e-05), interface "
-            f"continuity {val_gap:.2e}/{der_gap:.2e} (tol 1e-11/1e-11)")
+            f"continuity {val_gap:.2e}/{der_gap:.2e} (tol 1e-12/1e-12)")
 
 
 def test_criterion_07_pde_oracle():

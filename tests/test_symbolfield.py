@@ -2,7 +2,8 @@
 
 Reference values were generated independently with mpmath at 20-30 digits:
 straight-ladder kernel integrals by mp.quad on [-14, 14] (interior and
-post-relocation anchors, relocation corrections summed in mpmath), kernel
+post-relocation anchors, relocation corrections summed in mpmath; split at
+the column where a straight contour meets a cut or a branch point), kernel
 integrals by mp.quad on the whole line split at the singular column
 (interior and collar points, and one point on either side of the old
 seam 1 - |Re p| = 0.45 eps past which anchors were relocated; the two
@@ -55,6 +56,45 @@ L0_LADDER_REFS = {
     (0.977500001 + 0.015j, 0.05): 2.685198319217663640100 + 0.1264732758181035057076j,
 }
 
+# the hardest places for the ladder, (point, side) at each eps: the collar
+# edge, the lowest anchor a relocation reaches, points just inside and just
+# outside the relocated band past the cut, and the vertical hook leg through
+# the branch point 1; 30 digits as above (40 digits agree to 6e-31)
+HARD_ANCHORS = {
+    "collar edge": lambda eps: (1.0 - 1.0001 * eps, 0),
+    "lowest anchor": lambda eps: (0.5 - eps, 0),
+    "relocated past the cut": lambda eps: (1.3 + 6.4j * eps, 0),
+    "ladder past the cut": lambda eps: (1.3 + 6.6j * eps, 0),
+    "hook leg": lambda eps: (1.0 - 6.6j * eps, 1),
+    "deep hook leg": lambda eps: (1.0 - 12j, 1),
+}
+L0_HARD_REFS = {
+    ("collar edge", 0.2): 1.843256266155481210327,
+    ("lowest anchor", 0.2): 0.6082482904638629930193,
+    ("relocated past the cut", 0.2): 1.439174061480453828116 + 2.602578385721788227258j,
+    ("ladder past the cut", 0.2): 1.413632619549077033174 + 2.636719602301881159556j,
+    ("hook leg", 0.2): 1.137244958517586069869 - 2.461132905442787216593j,
+    ("deep hook leg", 0.2): 0.1657183385192529488399 - 6.366397968092764297498j,
+    ("collar edge", 0.1): 2.231203945675743781553,
+    ("lowest anchor", 0.1): 0.8226024815695514559391,
+    ("relocated past the cut", 0.1): 1.99614822340046709924 + 2.00678939317708622254j,
+    ("ladder past the cut", 0.1): 1.972875705709266585273 + 2.026642202656858909937j,
+    ("hook leg", 0.1): 1.61686978199701026838 - 1.698595389885237215689j,
+    ("deep hook leg", 0.1): 0.1657155419513364314818 - 6.366414805366569218368j,
+    ("collar edge", 0.05): 2.500482431396489124212,
+    ("lowest anchor", 0.05): 0.9333991955415021275338,
+    ("relocated past the cut", 0.05): 2.455904155261961540971 + 1.693523624049290623367j,
+    ("ladder past the cut", 0.05): 2.438424549843273943278 + 1.70267740203275337553j,
+    ("hook leg", 0.05): 2.026672661304355627439 - 1.177697196407143073251j,
+    ("deep hook leg", 0.05): 0.1657148428699167677975 - 6.366419014506410794176j,
+    ("collar edge", 0.025): 2.689175957369776510549,
+    ("lowest anchor", 0.025): 0.9898917699369883370264,
+    ("relocated past the cut", 0.025): 2.769954017747239324178 + 1.566650701023039910411j,
+    ("ladder past the cut", 0.025): 2.759130141121676116088 + 1.569802134542990581943j,
+    ("hook leg", 0.025): 2.340956722669405463769 - 0.8229521425818044155782j,
+    ("deep hook leg", 0.025): 0.1657146681033460582035 - 6.366420066780209521176j,
+}
+
 
 # ---------------------------------------------------------------------
 # kernel values against independent quadratures
@@ -74,6 +114,17 @@ def test_big_l0_error_is_within_its_estimate():
         rep = sf.big_l0(p, eps)
         err = abs(rep.value - ref)
         assert err <= rep.est_error <= 100.0 * max(err, 1e-15 * abs(ref)), (p, eps)
+
+
+def test_big_l0_at_hard_anchors():
+    # the pole-corrected ladder holds rounding level at the collar edge and
+    # next to the cuts, where the ladder without the pole term lost up to 1.4e-13
+    for (where, eps), ref in L0_HARD_REFS.items():
+        p, side = HARD_ANCHORS[where](eps)
+        rep = sf.big_l0(p, eps, side)
+        err = abs(rep.value - ref)
+        assert err <= 2e-15 * max(1.0, abs(ref)), (where, eps)
+        assert err <= rep.est_error <= 100.0 * max(err, 1e-15 * abs(ref)), (where, eps)
 
 
 def test_old_collar_seam_is_accurate():
@@ -389,8 +440,8 @@ def test_hook_edge_nodes_clear_the_lattice_singularities(eps):
 
 @pytest.mark.parametrize("eps", [0.2, 0.125, 0.05])
 def test_edge_tables_work(eps, monkeypatch):
-    # L0 ladder points for both hook-edge tables: 275k-295k for the one
-    # real-axis sweep; the first-period quadrature took 1.07M
+    # L0 ladder points for both hook-edge tables: 109k-117k for the one
+    # real-axis sweep at 63 points per anchor (275k-295k at 161)
     tables = [wfd._plus_tables(eps, rule)["xs"] for rule in (8, 16)]
     count = [0]
     raw = sf._l0_raw
@@ -402,7 +453,7 @@ def test_edge_tables_work(eps, monkeypatch):
     monkeypatch.setattr(sf, "_l0_raw", counted)
     for xs in tables:
         sf.upper_edge_amplitude(eps, xs)
-    assert count[0] <= 400_000
+    assert count[0] <= 150_000
 
 
 def test_eps_memo_stays_within_its_bound():

@@ -221,6 +221,20 @@ def test_hook_agrees_with_descent_to_its_rule():
     assert np.max(np.abs(sd.psi - gamma.psi)) <= 1e-12 * np.max(np.abs(sd.psi))
 
 
+@pytest.mark.parametrize("eps, n, delta", [(0.2, 1, 0.1), (0.125, 2, 0.03), (0.125, 1, 0.1)])
+def test_descent_near_threshold_agrees_with_hook(eps, n, delta):
+    # descent contours here pass close to the branch point 1; their sweep is
+    # graded there, without which the two missed each other by up to 1.3e-6
+    tau = tau_threshold(n) - delta
+    xs = np.linspace(0.0, 1.0 - tau, 200)
+    params = ModelParams(eps=eps, n=n)
+    sd = wfd.mode_inside(params, tau / eps, xs, method="sd")
+    gamma = wfd.mode_inside(params, tau / eps, xs, method="gamma")
+    gap = np.abs(sd.psi - gamma.psi)
+    assert np.max(gap) <= 1e-12 * np.max(np.abs(sd.psi))
+    assert np.all(gap <= sd.est_error + gamma.est_error)
+
+
 def test_gamma_at_and_past_threshold():
     thr = tau_threshold(1)
     xs = np.array(sorted(GAMMA_THRESHOLD_REF))
@@ -439,10 +453,10 @@ def test_amplitude_work_per_contour(monkeypatch):
     monkeypatch.setattr(sf, "_l0_raw", counted)
     t = -12.0  # eps = 0.1, n = 1, edge at 2.2
     wfd.mode_outside(P01, t, np.array([2.7]))
-    assert count[0] <= 250_000
+    assert count[0] <= 100_000
     count[0] = 0
     wfd.mode_inside(P01, t, np.linspace(0.0, 2.2, 200), method="sd")
-    assert count[0] <= 250_000
+    assert count[0] <= 100_000
 
 
 # ---------------------------------------------------------------------
