@@ -441,7 +441,7 @@ def test_hook_edge_nodes_clear_the_lattice_singularities(eps):
 @pytest.mark.parametrize("eps", [0.2, 0.125, 0.05])
 def test_edge_tables_work(eps, monkeypatch):
     # L0 ladder points for both hook-edge tables: 109k-117k for the one
-    # real-axis sweep at 63 points per anchor (275k-295k at 161)
+    # real-axis sweep at 63 points per anchor
     tables = [wfd._plus_tables(eps, rule)["xs"] for rule in (8, 16)]
     count = [0]
     raw = sf._l0_raw
