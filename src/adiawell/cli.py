@@ -102,8 +102,18 @@ def _require(args: argparse.Namespace, *names: str) -> None:
             raise _Invalid(f"{flag} is required (flag or config)")
 
 
-def _validate(eps=None, **taus) -> None:
-    """Check eps (a value or an array) lies in (0, 1) and every given tau <= 1."""
+# smallest value of each numeric flag: mode indices start at 1, and the field
+# lives on x >= 0 (xi is a distance past the well edge)
+_MINIMA = {"n": 1, "x_steps": 1, "x_min": 0.0, "x": 0.0, "xi": 0.0}
+
+
+def _validate(args: argparse.Namespace, eps=None, **taus) -> None:
+    """Check every flag against _MINIMA, eps (a value or an array) lies in (0, 1)
+    and every given tau <= 1."""
+    for dest, low in _MINIMA.items():
+        value = getattr(args, dest, None)
+        if value is not None and value < low:
+            raise _Invalid(f"--{dest.replace('_', '-')} must be at least {low}, got {value}")
     for value in np.atleast_1d(eps if eps is not None else []):
         if not 0.0 < value < 1.0:
             raise _Invalid(f"eps must lie in (0, 1), got {value}")
@@ -203,7 +213,7 @@ def _cmd_special(args) -> tuple[list[str], list[list]]:
 
 def _cmd_eigen(args) -> tuple[list[str], list[list]]:
     _require(args, "n", "tau")
-    _validate(tau=args.tau)
+    _validate(args, tau=args.tau)
     p = spectrum.p_n(args.n, args.tau)
     return ["p_n", "E_n", "dlnpn_dtau"], [
         [p, spectrum.e_n(args.n, args.tau), spectrum.dlnpn_dtau(args.n, args.tau)]
@@ -213,14 +223,12 @@ def _cmd_eigen(args) -> tuple[list[str], list[list]]:
 def _cmd_field(args) -> tuple[list[str], list[list]]:
     _require(args, "eps", "n", "t")
     tau = args.eps * args.t
-    _validate(eps=args.eps, tau=tau)
+    _validate(args, eps=args.eps, tau=tau)
     params = ModelParams(eps=args.eps, n=args.n)
     edge = 1.0 - tau
     x_min = args.x_min if args.x_min is not None else 0.0
     x_max = args.x_max if args.x_max is not None else edge
     steps = args.x_steps if args.x_steps is not None else 200
-    if steps < 1:
-        raise _Invalid("--x-steps must be at least 1")
     if x_max < x_min:
         raise _Invalid("--x-max must not be below --x-min")
     method = args.method if args.method is not None else "contour"
@@ -248,11 +256,11 @@ def _cmd_field(args) -> tuple[list[str], list[list]]:
 def _cmd_compare(args) -> tuple[list[str], list[list]]:
     _require(args, "eps", "n", "t")
     tau = args.eps * args.t
-    _validate(eps=args.eps, tau=tau)
+    _validate(args, eps=args.eps, tau=tau)
+    if args.delta_reg is not None and args.delta_reg <= 0.0:
+        raise _Invalid("--delta-reg must be positive")
     params = ModelParams(eps=args.eps, n=args.n)
     steps = args.x_steps if args.x_steps is not None else 200
-    if steps < 1:
-        raise _Invalid("--x-steps must be at least 1")
     xs = np.linspace(0.0, 1.0 - tau, steps)
     exact = np.asarray(wavefield.mode_solution(params, args.t, xs).psi)
     approx, label = asymptotics.best_leading(params, xs, args.t,
@@ -305,7 +313,7 @@ def _cmd_sweep(args) -> tuple[list[str], list[list]]:
     else:
         _require(args, "tau")
         tau = args.tau
-    _validate(eps=np.array(eps_list), tau=tau)
+    _validate(args, eps=np.array(eps_list), tau=tau)
     xi = args.xi if args.xi is not None else 0.5
 
     jobs = [(args.check, eps, args.n, tau, args.x, xi) for eps in eps_list]
@@ -329,7 +337,7 @@ def _cmd_sweep(args) -> tuple[list[str], list[list]]:
 
 def _cmd_oracle(args) -> tuple[list[str], list[list]]:
     _require(args, "eps", "n", "t0", "t1")
-    _validate(eps=args.eps, tau_final=args.eps * args.t1)
+    _validate(args, eps=args.eps, tau_final=args.eps * args.t1)
     if args.t1 < args.t0:
         raise _Invalid("--t1 must not be below --t0")
     params = ModelParams(eps=args.eps, n=args.n)

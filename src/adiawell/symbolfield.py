@@ -63,7 +63,6 @@ an honest error estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -118,8 +117,6 @@ _ROUNDING_EST = 1e-15
 # a route enters the relocated region)
 _LADDER_EST = 2e-11
 
-# memo bound: tables per eps (a process works at a few eps at a time)
-_EPS_SLOTS = 8
 # ladder anchors per block: each (anchors x 63) temporary stays near 4 MB
 _ANCHOR_BLOCK = 4096
 
@@ -370,9 +367,10 @@ def upper_edge_amplitude(eps: float, xs: np.ndarray) -> np.ndarray:
     return _real_amplitude(eps, xs)[0]
 
 
-@lru_cache(maxsize=_EPS_SLOTS)
 def _lnA_at_one(eps: float) -> complex:
-    """A logarithm of A(1): one recursion step from A(1 - eps) on the real axis."""
+    """A logarithm of A(1): one recursion step from A(1 - eps) on the real axis.
+
+    A reference, not memoized: the hook reads A(1) from `wavefield._hook_tables`."""
     return complex(np.log(upper_edge_amplitude(eps, np.array([1.0]))[0]))
 
 

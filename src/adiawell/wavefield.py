@@ -43,8 +43,8 @@ Three interchangeable evaluation contours are provided.
                1 - i[0, Y] and out along the upper edge of the cut [1, oo).
                Near and past the threshold tau_n the saddle collides with
                p = 1 and the hook is the numerically stable choice.  Its
-               upper-edge table and the amplitude down its vertical leg
-               depend only on eps and are cached per eps; the leg's nodes
+               eps-only parts (edge nodes with A there, A(1), the amplitude
+               down the vertical leg) are built once per eps; the leg's nodes
                follow the phase of each (n, tau) and are built per call.
 * ``ray``      the fixed line e^{i pi/4} R.  Simple and saddle-free, but the
                integrand climbs to e^{(pi n)^2/(2(1-tau) eps)} before it
@@ -94,7 +94,7 @@ from .symbolfield import (
     _LADDER_EST,
     _dense,
     _g_values,  # noqa: F401  (unused here; adiabench/tracing.py wraps it)
-    _lnA_at_one,
+    _lnA_at_one,  # noqa: F401  (unused here; adiabench/tracing.py wraps it)
     _meets_cut,
     _real_amplitude,
     amplitude_along,
@@ -134,10 +134,12 @@ _GAMMA_CAP = 0.6        # ... but never further below threshold than this
 _MINUS_DEPTH = 12.0     # hard cap on the depth of the hook's vertical leg
 _PANEL_PHASE = 4.5      # max radians of e^{iS/eps} per vertical-leg panel
 _RAY_ANGLE = 0.25 * np.pi
+_LEG_TOO_SHORT = ("vertical hook leg is too short for this (n, tau); the saddle "
+                  "sits too far below threshold for the hook contour")
 # widest x span that shares one exterior contour; values do not move with the
 # width, but the error bar's |basis| scale grows (2% at 2, twofold at 16)
 _BAND_WIDTH = 2.0
-# memo bound: hook-edge tables per (eps, rule) and per eps
+# memo bound: hook tables per eps
 _EPS_SLOTS = 8
 
 
@@ -354,7 +356,7 @@ def _inside_weights(
 
 
 # =====================================================================
-# the hook contour through p = 1 (edge and leg-amplitude tables cached per eps)
+# the hook contour through p = 1 (its eps-only parts built once per eps)
 # =====================================================================
 
 def _edge_periods(eps: float, level: float) -> int:
@@ -369,26 +371,44 @@ def _edge_periods(eps: float, level: float) -> int:
 
 
 @lru_cache(maxsize=_EPS_SLOTS)
-def _plus_tables(eps: float, rule: int) -> dict[str, np.ndarray]:
-    """Upper-edge nodes and weights with A and int_l0 there, per (eps, rule).
+def _hook_tables(eps: float) -> dict:
+    """The parts of the hook that depend on eps alone, built once per eps.
 
-    One mapped panel per half-period: A carries a bounded sqrt cusp at every
-    mid-period point 1 + (m + 1/2) eps, and the first half-period also meets
-    the 3/2-power cusp of the action at the branch point.
+    "edge": per rule (8, 16), the upper-edge nodes "xs" on one mapped panel
+    per half-period (A has a sqrt cusp at each mid-period point, and the
+    first half-period meets the action's 3/2-power cusp at 1), their weights
+    times A ("wa") and int_l0 ("il").  One `upper_edge_amplitude` call gives
+    A there and at 1 ("ln_one").  "leg": one sweep down the vertical leg at
+    depths "leg_y" doubling from 1e-7, with its bar "leg_est"; its dense
+    output serves the phase-graded nodes of every (n, tau).
     """
-    halves = [
-        cusp_panels(
-            1.0 + 0.5 * eps * np.array([k, k + 1]), rule,
-            at_start=k % 2 == 1 or k == 0, at_end=k % 2 == 0,
-        )
-        for k in range(2 * _edge_periods(eps, _DECAY_LEVEL))
-    ]
-    xs = np.concatenate([nodes.ravel() for nodes, _ in halves])
+    xs, w = {}, {}
+    halves_count = 2 * _edge_periods(eps, _DECAY_LEVEL)
+    for rule in (8, 16):
+        halves = [
+            cusp_panels(
+                1.0 + 0.5 * eps * np.array([k, k + 1]), rule,
+                at_start=k % 2 == 1 or k == 0, at_end=k % 2 == 0,
+            )
+            for k in range(halves_count)
+        ]
+        xs[rule] = np.concatenate([nodes.ravel() for nodes, _ in halves])
+        w[rule] = np.concatenate([wk.ravel() for _, wk in halves])
+    amp8, amp16, amp_one = np.split(
+        upper_edge_amplitude(eps, np.concatenate([xs[8], xs[16], [1.0]])),
+        [xs[8].size, xs[8].size + xs[16].size],
+    )
+    leg_y = [0.0, 1e-7]
+    while leg_y[-1] < _MINUS_DEPTH:
+        leg_y.append(min(leg_y[-1] * 2.0, _MINUS_DEPTH))
+    leg, leg_est = path_cumulative(1.0 - 1j * np.array(leg_y), eps, side=1)
+    edge = {
+        rule: {"xs": xs[rule], "wa": w[rule] * a, "il": np.asarray(int_l0(xs[rule], side=1))}
+        for rule, a in ((8, amp8), (16, amp16))
+    }
     return {
-        "xs": xs,
-        "w": np.concatenate([w.ravel() for _, w in halves]),
-        "amp": upper_edge_amplitude(eps, xs),
-        "il": np.asarray(int_l0(xs, side=1)),
+        "edge": edge, "ln_one": complex(np.log(amp_one[0])),
+        "leg": leg, "leg_y": np.array(leg_y), "leg_est": leg_est,
     }
 
 
@@ -409,10 +429,7 @@ def _minus_depth(n: int, tau: float, eps: float) -> float:
     net = s.imag / eps - one_m_tau * ys
     past = np.nonzero(net >= _DECAY_LEVEL + 14.0)[0]
     if past.size == 0:
-        raise TruncationTooSmall(
-            "vertical hook leg is too short for this (n, tau); the saddle "
-            "sits too far below threshold for the hook contour"
-        )
+        raise TruncationTooSmall(_LEG_TOO_SHORT)
     return float(ys[past[0]])
 
 
@@ -431,7 +448,8 @@ def _minus_panels(n: int, tau: float, eps: float, depth: float) -> np.ndarray:
     two_pi_n = 2.0 * np.pi * n
 
     def freq(y: float) -> float:
-        # |Im S_p(1 - iy)| / eps, with S_p = 2p(1 - tau) - 2 pi n + 2 asin(p)
+        # |Im S_p(1 - iy)| / eps, with S_p = 2p(1 - tau) - 2 pi n + 2 asin(p),
+        # inline: scalar action() calls made this loop three to five times slower
         p = complex(1.0, -y)
         return abs((2.0 * p * one_m_tau - two_pi_n + 2.0 * cmath.asin(p)).imag) / eps
 
@@ -444,32 +462,13 @@ def _minus_panels(n: int, tau: float, eps: float, depth: float) -> np.ndarray:
     return np.array(bounds)
 
 
-@lru_cache(maxsize=_EPS_SLOTS)
-def _leg_amplitude_tables(eps: float):
-    """Cumulative amplitude integral down the vertical leg, cached per eps.
-
-    The amplitude integrand does not depend on (n, tau); only the phase
-    does.  One geometric vertex stack down to the master depth therefore
-    serves every mode and every time; its depths double from vertex to
-    vertex from 1e-7 on, and one 16-point sweep of `path_cumulative` resolves
-    each segment to within that sweep's own error estimate.  The dense output
-    of the sweep gives ln A at the oscillation-graded phase nodes.  Returns
-    the sweep, the leg's y at its vertices and its error estimate.
-    """
-    verts = [0.0, 1e-7]
-    while verts[-1] < _MINUS_DEPTH:
-        verts.append(min(verts[-1] * 2.0, _MINUS_DEPTH))
-    v = np.array(verts)
-    sweep, est = path_cumulative(1.0 - 1j * v, eps, side=1)
-    return sweep, v, est
-
-
 def _leg_ln_amplitude(eps: float, ys: np.ndarray) -> np.ndarray:
     """ln A(1 - i y) - ln A(1) at arbitrary leg depths, by dense output."""
-    sweep, edges, _ = _leg_amplitude_tables(eps)
+    tables = _hook_tables(eps)
+    edges = tables["leg_y"]
     seg = np.clip(np.searchsorted(edges, ys) - 1, 0, edges.size - 2)
     u = (2.0 * ys - edges[seg] - edges[seg + 1]) / (edges[seg + 1] - edges[seg])
-    return _dense(sweep, seg, u)
+    return _dense(tables["leg"], seg, u)
 
 
 def _gamma_weights(
@@ -486,7 +485,7 @@ def _gamma_weights(
     edges = _minus_panels(n, tau, eps, _minus_depth(n, tau, eps))
     one_m_tau = 1.0 - tau
     two_pi_n = 2.0 * np.pi * n
-    ln_one = _lnA_at_one(eps)
+    tables = _hook_tables(eps)
     rules = []
     for rule in (8, 16):
         ys, w = (a.ravel() for a in cusp_panels(edges, rule, at_start=True))
@@ -495,20 +494,17 @@ def _gamma_weights(
         net = s_minus.imag / eps - one_m_tau * ys
         live = net < _DECAY_LEVEL + 10.0
         if live[-1]:
-            raise TruncationTooSmall(
-                "vertical hook leg is too short for this (n, tau); the saddle "
-                "sits too far below threshold for the hook contour"
-            )
+            raise TruncationTooSmall(_LEG_TOO_SHORT)
         keep = int(np.nonzero(live)[0].max()) + 2 if np.any(live) else 1
-        amp = np.exp(ln_one + _leg_ln_amplitude(eps, ys[:keep]))
+        amp = np.exp(tables["ln_one"] + _leg_ln_amplitude(eps, ys[:keep]))
         w_minus = 1j * w[:keep] * amp * np.exp(1j * s_minus[:keep] / eps)
 
-        plus = _plus_tables(eps, rule)
+        plus = tables["edge"][rule]
         s_plus = plus["xs"] ** 2 * one_m_tau - two_pi_n * plus["xs"] + plus["il"]
-        w_plus = plus["w"] * plus["amp"] * np.exp(1j * s_plus / eps)
+        w_plus = plus["wa"] * np.exp(1j * s_plus / eps)
         nodes = np.concatenate([p_m[:keep], plus["xs"]])
         rules.append((nodes, np.concatenate([w_minus, w_plus])))
-    return rules, _leg_amplitude_tables(eps)[2] + _LADDER_EST
+    return rules, tables["leg_est"] + _LADDER_EST
 
 
 # =====================================================================
@@ -533,6 +529,21 @@ def _pick_inside_method(n: int, tau: float, eps: float) -> str:
     return "gamma" if delta <= window else "sd"
 
 
+def _contour_sum(fn, coords, rules, amp_est: float, pref) -> tuple[np.ndarray, np.ndarray]:
+    """pref * sum_j W_j fn(c k_j) at each c in coords, by the 16-point rule of rules
+    [(k, W) of 8 points, (k, W) of 16], and its error bar: the 8-vs-16 point
+    gap plus amp_est carried through |basis| @ |W|."""
+    (k8, w8), (k16, w16) = rules
+    coarse = fn(np.multiply.outer(coords, k8)) @ w8
+    # one basis matrix serves the sum and its error scale; taking fn in
+    # place keeps a single copy of it alive
+    basis = np.multiply.outer(coords, k16)
+    fn(basis, out=basis)
+    fine = basis @ w16
+    scale = np.abs(basis) @ np.abs(w16)
+    return pref * fine, np.abs(pref) * (np.abs(fine - coarse) + amp_est * scale)
+
+
 def mode_inside(
     params: ModelParams, t: float, x, method: str = "auto"
 ) -> FieldSample:
@@ -552,27 +563,20 @@ def mode_inside(
         method = _pick_inside_method(n, tau, eps)
 
     if method == "gamma":
-        [(nodes8, w8), (nodes16, w16)], amp_est = _gamma_weights(n, tau, eps)
+        rules, amp_est = _gamma_weights(n, tau, eps)
     elif method in ("sd", "ray"):
         verts = (
             trace_steepest(n, tau, eps)
             if method == "sd"
             else _ray_vertices(n, tau, eps)
         )
-        [(nodes8, w8), (nodes16, w16)], amp_est = _inside_weights(verts, n, tau, eps)
+        rules, amp_est = _inside_weights(verts, n, tau, eps)
     else:
         raise ValueError(f"unknown method {method!r}")
 
     pref = np.exp(1j * t) / np.sqrt(eps * np.pi)
-    coarse = np.sin(np.multiply.outer(x_arr, nodes8)) @ w8
-    # one sine matrix serves the sum and its error scale; taking the sine in
-    # place keeps a single copy of it alive
-    basis16 = np.multiply.outer(x_arr, nodes16)
-    np.sin(basis16, out=basis16)
-    fine = basis16 @ w16
-    scale = np.abs(basis16) @ np.abs(w16)
-    est = np.abs(pref) * (np.abs(fine - coarse) + amp_est * scale)
-    return FieldSample(x_arr, t, pref * fine, est, method)
+    psi, est = _contour_sum(np.sin, x_arr, rules, amp_est, pref)
+    return FieldSample(x_arr, t, psi, est, method)
 
 
 # =====================================================================
@@ -600,7 +604,7 @@ def _outside_single(
     # contour, which must stay clear of the cuts like the contour itself
     amps, amp_est = amplitude_along(verts - 0.5 * eps, eps)
 
-    results = []
+    rules = []
     for rule in (8, 16):
         nodes, w = _gl_nodes(verts, rule)
         part_l = (1j / eps) * (
@@ -610,14 +614,11 @@ def _outside_single(
         )
         act = action(nodes, n, tau, xi=xi_c)
         weights = w * amps[rule] * nodes * np.exp(1j * act.value / eps - part_l)
-        basis = np.exp((1j / eps) * np.multiply.outer(xi - xi_c, np.asarray(q0(nodes))))
-        results.append((basis * weights).sum(axis=1))
-    scale = np.abs(basis) @ np.abs(weights)
+        rules.append((np.asarray(q0(nodes)), weights))
     pref = (-1.0) ** (n + 1) * np.exp(
         1j * t - 0.5j * xi - 0.25j * eps * (1.0 - tau)
     ) / np.sqrt(eps * np.pi)
-    est = np.abs(pref) * (np.abs(results[1] - results[0]) + amp_est * scale)
-    return pref * results[1], est
+    return _contour_sum(np.exp, (1j / eps) * (xi - xi_c), rules, amp_est, pref)
 
 
 def mode_outside(params: ModelParams, t: float, x) -> FieldSample:
@@ -625,10 +626,9 @@ def mode_outside(params: ModelParams, t: float, x) -> FieldSample:
 
     Every admissible contour gives the same value, so nearby points share
     one: the sorted batch is cut into bands at most _BAND_WIDTH wide in x,
-    and each band is summed on the contour through the saddle at its centre.
-    The error estimate has `mode_inside`'s form: the 8-vs-16 point gap plus
-    the amplitude's accuracy times the |basis| @ |weights| scale.  A shifted
-    contour (module docstring) that meets a cut raises ContourClash.
+    and each band is summed on the contour through the saddle at its centre,
+    with `mode_inside`'s error bar (`_contour_sum`).  A shifted contour
+    (module docstring) that meets a cut raises ContourClash.
     """
     eps = params.eps
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -714,41 +714,48 @@ def _r_real(ks: np.ndarray, eps: float) -> np.ndarray:
     return amps * np.exp(1j / eps * np.asarray(int_l0(av, side=1)))
 
 
-def _lattice(p: float, eps: float) -> np.ndarray:
+def _lattice_terms(eps: float, t: float, offsets):
+    """k = p + eps l, p1(k) and the phases of sin(kx) and e^{i p1 x}, a row per offset p.
+
+    Terms beyond |k| = 1 + 16 eps are dropped (R decays superexponentially
+    past the branch point, reaching ~1e-3 per step of eps), and shorter rows
+    are padded with terms of phase 0.  R comes from one `_r_real` call.
+    """
+    p = np.atleast_1d(np.asarray(offsets, dtype=float))[:, None]
+    edge = 1.0 - eps * t
     reach = 1.0 + 16.0 * eps
-    l_lo = int(np.ceil((-reach - p) / eps))
-    l_hi = int(np.floor((reach - p) / eps))
-    return p + eps * np.arange(l_lo, l_hi + 1)
+    lo, hi = (-reach - p) / eps, (reach - p) / eps
+    ell = np.arange(int(np.ceil(lo.min())), int(np.floor(hi.max())) + 1)
+    ks = p + eps * ell
+    live = (lo <= ell) & (ell <= hi)
+    r_k = np.zeros(ks.shape, dtype=complex)
+    r_k[live] = _r_real(ks[live], eps)
+    p1 = outgoing_momentum(ks, eps)
+    phase_in = np.exp(1j * t) * np.exp(1j * ks**2 * edge / eps) * r_k
+    phase_out = np.exp(1j * p1**2 * edge / eps) * outgoing_factor(ks, eps) * r_k
+    return ks, p1, phase_in, phase_out
 
 
-def generating_series(params: ModelParams, t: float, x, p: float) -> np.ndarray:
-    """The exact lattice-sum solution Psi(x, t; p) for one offset p.
+def generating_series(params: ModelParams, t: float, x, p) -> np.ndarray:
+    """The exact lattice-sum solution Psi(x, t; p) for one offset p, or a row per offset.
 
     Inside the well the k-sum superposes standing waves sin(kx) R(k) with
-    quadratic-in-k phases; outside it superposes the matched outgoing waves.
-    Terms beyond |k| = 1 + 16 eps are dropped (R decays superexponentially
-    past the branch point, reaching ~1e-3 per step of eps).
+    quadratic-in-k phases; outside it superposes the matched outgoing waves
+    (`_lattice_terms` builds the terms of all offsets in one pass).
     """
     eps = params.eps
-    tau = eps * t
-    edge = 1.0 - tau
+    edge = 1.0 - eps * t
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    ks = _lattice(p, eps)
-    r_k = _r_real(ks, eps)
-    out = np.zeros(x_arr.shape, dtype=complex)
+    ks, p1, phase_in, phase_out = _lattice_terms(eps, t, p)
+    out = np.zeros((ks.shape[0], x_arr.size), dtype=complex)
 
     inside = x_arr <= edge
-    if np.any(inside):
-        phase = np.exp(1j * ks**2 * edge / eps) * r_k
-        waves = np.sin(np.multiply.outer(x_arr[inside], ks))
-        out[inside] = np.exp(1j * t) * (waves @ phase)
-    if np.any(~inside):
-        p1 = outgoing_momentum(ks, eps)
-        t_k = outgoing_factor(ks, eps)
-        phase = np.exp(1j * p1**2 * edge / eps) * t_k * r_k
-        waves = np.exp(1j * np.multiply.outer(x_arr[~inside], p1))
-        out[~inside] = waves @ phase
-    return out / np.sqrt(np.pi)
+    # one offset at a time, so the wave matrix stays (x, lattice) in size
+    for row, k, ph_in, q, ph_out in zip(out, ks, phase_in, p1, phase_out):
+        row[inside] = np.sin(np.multiply.outer(x_arr[inside], k)) @ ph_in
+        row[~inside] = np.exp(1j * np.multiply.outer(x_arr[~inside], q)) @ ph_out
+    out /= np.sqrt(np.pi)
+    return out[0] if np.ndim(p) == 0 else out
 
 
 def fourier_mode(
@@ -761,14 +768,9 @@ def fourier_mode(
     `mode_solution` validates both pipelines at once.
     """
     eps, n = params.eps, params.n
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    acc = np.zeros(x_arr.shape, dtype=complex)
     offsets = eps * (np.arange(samples) + 0.5) / samples
-    for p in offsets:
-        acc += generating_series(params, t, x_arr, float(p)) * np.exp(
-            -2j * np.pi * n * p / eps
-        )
-    return np.sqrt(eps) * acc / samples
+    rows = generating_series(params, t, x, offsets)
+    return np.sqrt(eps) * (np.exp(-2j * np.pi * n * offsets / eps) @ rows) / samples
 
 
 def interface_residuals(params: ModelParams, t: float, p: float) -> tuple[float, float]:
@@ -778,19 +780,10 @@ def interface_residuals(params: ModelParams, t: float, p: float) -> tuple[float,
     the numbers returned are a direct numerical check of that algebra with
     every branch convention in play.
     """
-    eps = params.eps
-    tau = eps * t
-    edge = 1.0 - tau
-    ks = _lattice(p, eps)
-    r_k = _r_real(ks, eps)
-
-    phase_in = np.exp(1j * ks**2 * edge / eps) * r_k
-    val_in = np.exp(1j * t) * np.sum(np.sin(ks * edge) * phase_in)
-    der_in = np.exp(1j * t) * np.sum(ks * np.cos(ks * edge) * phase_in)
-
-    p1 = outgoing_momentum(ks, eps)
-    t_k = outgoing_factor(ks, eps)
-    phase_out = np.exp(1j * p1**2 * edge / eps) * t_k * r_k
+    edge = 1.0 - params.eps * t
+    ks, p1, phase_in, phase_out = _lattice_terms(params.eps, t, p)
+    val_in = np.sum(np.sin(ks * edge) * phase_in)
+    der_in = np.sum(ks * np.cos(ks * edge) * phase_in)
     wave = np.exp(1j * p1 * edge)
     val_out = np.sum(wave * phase_out)
     der_out = np.sum(1j * p1 * wave * phase_out)

@@ -291,6 +291,20 @@ def test_json_config_rejected(tmp_path, payload):
         (["field", "--eps", "0.2", "--n", "1", "--t", "-10",
           "--method", "series", "--x-max", "5"], 2),
         (["eigen", "--n", "1", "--tau", "0.9"], 3),
+        # usage errors found before any evaluation or worker pool starts
+        (["field", "--eps", "0.2", "--n", "0", "--t", "-10"], 2),
+        (["compare", "--eps", "0.2", "--n", "0", "--t", "-10"], 2),
+        (["sweep", "--check", "adiabatic", "--eps", "0.2,0.1", "--n", "0",
+          "--tau", "-2"], 2),
+        (["oracle", "--eps", "0.2", "--n", "0", "--t0", "-10", "--t1", "-10"], 2),
+        (["eigen", "--n", "0", "--tau", "-1"], 2),
+        (["field", "--eps", "0.2", "--n", "1", "--t", "-10", "--x-min", "-0.5"], 2),
+        (["sweep", "--check", "adiabatic", "--eps", "0.2,0.1", "--n", "1",
+          "--tau", "-2", "--x", "-0.5"], 2),
+        (["sweep", "--check", "outside", "--eps", "0.2,0.1", "--n", "1",
+          "--tau", "-2", "--xi", "-0.3"], 2),
+        (["compare", "--eps", "0.2", "--n", "1", "--t", "-10", "--delta-reg", "0"], 2),
+        (["compare", "--eps", "0.2", "--n", "1", "--t", "-10", "--delta-reg", "-1"], 2),
     ],
 )
 def test_exit_codes(argv, code):

@@ -384,7 +384,7 @@ def _graded_route_ln_a(eps, xs):
 
 def _nearest_hook_nodes(eps, count=4):
     """The hook's 16-point upper-edge nodes nearest the lattice singularity 1 + eps/2."""
-    xs = wfd._plus_tables(eps, 16)["xs"]
+    xs = wfd._hook_tables(eps)["edge"][16]["xs"]
     return xs[np.argsort(np.abs(xs - 1.0 - 0.5 * eps))[:count]]
 
 
@@ -416,7 +416,7 @@ def test_upper_edge_batch_matches_single_calls():
     vals = sf.upper_edge_amplitude(eps, batch)
     for x, val in zip(lone, vals[37:]):
         assert abs(val - sf.upper_edge_amplitude(eps, np.array([x]))[0]) <= 1e-14
-    # A(1) is the memoized one-step value
+    # A(1) is the one-step value
     assert abs(vals[37] - np.exp(sf._lnA_at_one(eps))) <= 1e-14
 
 
@@ -434,15 +434,15 @@ def test_hook_edge_nodes_clear_the_lattice_singularities(eps):
     # the cusps of A at 1 + (l + 1/2) eps are panel ends, so the mapped panels
     # keep every node off them (the nearest sits 1.4e-5 eps away)
     for rule in (8, 16):
-        u = (wfd._plus_tables(eps, rule)["xs"] - 1.0) / eps - 0.5
+        u = (wfd._hook_tables(eps)["edge"][rule]["xs"] - 1.0) / eps - 0.5
         assert np.min(np.abs(u - np.round(u))) >= 1e-5
 
 
 @pytest.mark.parametrize("eps", [0.2, 0.125, 0.05])
 def test_edge_tables_work(eps, monkeypatch):
-    # L0 ladder points for both hook-edge tables: 109k-117k for the one
-    # real-axis sweep at 63 points per anchor
-    tables = [wfd._plus_tables(eps, rule)["xs"] for rule in (8, 16)]
+    # L0 ladder points for one build of the hook tables (both edge rules, A(1)
+    # and the vertical leg): 123k-127k, as one real-axis sweep serves the
+    # edge and A(1); a sweep per edge rule and one for A(1) took 142k-155k
     count = [0]
     raw = sf._l0_raw
 
@@ -451,19 +451,18 @@ def test_edge_tables_work(eps, monkeypatch):
         return raw(z, side)
 
     monkeypatch.setattr(sf, "_l0_raw", counted)
-    for xs in tables:
-        sf.upper_edge_amplitude(eps, xs)
-    assert count[0] <= 150_000
+    wfd._hook_tables.__wrapped__(eps)
+    assert count[0] <= 135_000
 
 
 def test_eps_memo_stays_within_its_bound():
-    memo = sf._lnA_at_one
+    memo = wfd._hook_tables
     bound = memo.cache_info().maxsize
-    values = [memo(0.3 + 0.01 * k) for k in range(bound + 3)]
+    values = [memo(0.3 + 0.01 * k)["ln_one"] for k in range(bound + 3)]
     info = memo.cache_info()
     assert info.currsize <= info.maxsize == bound
     # an evicted eps is recomputed to the same value
-    assert memo(0.3) == values[0]
+    assert memo(0.3)["ln_one"] == values[0]
 
 
 # ---------------------------------------------------------------------

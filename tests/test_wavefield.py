@@ -19,6 +19,7 @@ from adiawell import symbolfield as sf
 from adiawell import wavefield as wfd
 from adiawell._panels import gl_rule
 from adiawell.branches import int_l0, l0
+from adiawell.cli import run
 from adiawell.errors import BranchViolation, ContourClash, TraceDiverged
 from adiawell.spectrum import ModelParams, p_n, p_n_tilde, tau_threshold
 
@@ -488,6 +489,29 @@ def test_generating_series_is_eps_periodic():
     a = wfd.generating_series(P02, -10.0, xs, 0.37 * 0.2)
     b = wfd.generating_series(P02, -10.0, xs, 1.37 * 0.2)
     assert np.max(np.abs(a - b)) < 1e-12
+
+
+def test_one_lattice_pass_serves_every_offset(tmp_path, monkeypatch):
+    # an offset array gives the per-offset rows, inside and past the edge at 3
+    xs = np.array([0.5, 1.5, 2.9, 3.5, 4.5])
+    offsets = 0.2 * np.array([0.111, 0.287, 0.455])
+    rows = wfd.generating_series(P02, -10.0, xs, offsets)
+    assert rows.shape == (offsets.size, xs.size)
+    for p, row in zip(offsets, rows):
+        assert np.max(np.abs(row - wfd.generating_series(P02, -10.0, xs, p))) <= 1e-15
+    # a series request takes R for all offsets of each level from one sweep
+    calls = [0]
+    sweep = sf.path_cumulative
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(sf, "path_cumulative", counted)
+    argv = ["field", "--eps", "0.2", "--n", "1", "--t", "-10", "--x-steps", "5",
+            "--method", "series", "--out", str(tmp_path / "series.csv")]
+    assert run(argv) == 0
+    assert calls[0] <= 2
 
 
 @pytest.mark.parametrize("frac", [0.111, 0.287, 0.455])
