@@ -30,9 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
+import scipy.special
 
 from ._panels import gl_panels
 from .errors import ContinuationFailure
@@ -72,8 +72,8 @@ _Z_FLOOR = 1e-9
 _G0_SPLIT = 20.0
 # panel width (in the substituted variable u = sqrt(s)) and rule order
 _G0_PANEL_U = 0.5
-# averaging depth for the alternating k^(-3/2) series defining f_0
-_EULER_TERMS = 60
+# f_0 = sum_{k>=1} (-1)^(k+1) k^(-3/2) = (1 - 2^(-1/2)) zeta_R(3/2)
+_F0 = float((1.0 - 2.0**-0.5) * scipy.special.zeta(1.5))
 
 
 class RegimeLabel(Enum):
@@ -238,21 +238,11 @@ def transition_leading(params: ModelParams, x, t: float):
 # past the threshold
 # =====================================================================
 
-@lru_cache(maxsize=1)
-def _alternating_head() -> float:
-    """sum_{k>=1} (-1)^(k+1) k^(-3/2) by iterated averaging of partial sums."""
-    k = np.arange(1, _EULER_TERMS + 1, dtype=float)
-    partial = np.cumsum((-1.0) ** (k + 1.0) * k**-1.5)
-    while partial.size > 1:
-        partial = 0.5 * (partial[:-1] + partial[1:])
-    return float(partial[0])
-
-
 def resonance_weights(n: int) -> np.ndarray:
     """Weights f_0..f_{n-1}: f_k = (-1)^k k^(-3/2), f_0 = -sum_{k>=1} f_k."""
     ks = np.arange(n, dtype=float)
     out = np.empty(n, dtype=float)
-    out[0] = _alternating_head()
+    out[0] = _F0
     if n > 1:
         out[1:] = (-1.0) ** ks[1:] * ks[1:] ** -1.5
     return out

@@ -12,9 +12,10 @@ numerics fail (no eigenvalue, continuation off its sheet, a quadrature or
 linear solve giving up).
 
 A ``--json-config FILE`` holding ``{"format_version": 1, "<flag>": value}``
-can replace flags; explicit flags win over config values.  Either way eps
-must lie in (0, 1) and eps*t may not exceed 1.  The worker pool used for
-sweeps is capped by the ``ADIA_THREADS`` environment variable.
+can replace flags; explicit flags win over config values.  Either way every
+number must be finite, eps must lie in (0, 1) and eps*t may not exceed 1.
+The worker pool used for sweeps is capped by the ``ADIA_THREADS``
+environment variable.
 """
 
 from __future__ import annotations
@@ -108,8 +109,11 @@ _MINIMA = {"n": 1, "x_steps": 1, "x_min": 0.0, "x": 0.0, "xi": 0.0}
 
 
 def _validate(args: argparse.Namespace, eps=None, **taus) -> None:
-    """Check every flag against _MINIMA, eps (a value or an array) lies in (0, 1)
-    and every given tau <= 1."""
+    """Check every float flag is finite, every flag against _MINIMA, eps (a value
+    or an array) lies in (0, 1) and every given tau <= 1."""
+    for dest, value in vars(args).items():
+        if isinstance(value, float) and not np.isfinite(value):
+            raise _Invalid(f"--{dest.replace('_', '-')} must be finite, got {value}")
     for dest, low in _MINIMA.items():
         value = getattr(args, dest, None)
         if value is not None and value < low:
@@ -154,9 +158,12 @@ def _parse_complex_list(text: str) -> list[complex]:
         if not token:
             continue
         try:
-            points.append(complex(token))
+            point = complex(token)
         except ValueError as exc:
             raise _Invalid(f"cannot parse complex value {token!r}") from exc
+        if not np.isfinite(point):
+            raise _Invalid(f"--z points must be finite, got {token!r}")
+        points.append(point)
     if not points:
         raise _Invalid("--z needs at least one point")
     return points
@@ -179,6 +186,7 @@ def _parse_float_list(text: str) -> list[float]:
 
 def _cmd_special(args) -> tuple[list[str], list[list]]:
     _require(args, "fn", "z")
+    _validate(args, eps=args.eps)
     points = _parse_complex_list(args.z)
     side = args.side if args.side is not None else 0
     deriv = args.deriv if args.deriv is not None else 0
@@ -324,8 +332,9 @@ def _cmd_sweep(args) -> tuple[list[str], list[list]]:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             errs = list(pool.map(_sweep_point, *zip(*jobs)))
 
+    # a slope needs two distinct eps with a positive error
     positive = [(e, err) for e, err in zip(eps_list, errs) if err > 0.0]
-    if len(positive) >= 2:
+    if len({e for e, _ in positive}) >= 2:
         log_eps = np.log([e for e, _ in positive])
         log_err = np.log([err for _, err in positive])
         order = float(np.polyfit(log_eps, log_err, 1)[0])
@@ -343,6 +352,8 @@ def _cmd_oracle(args) -> tuple[list[str], list[list]]:
     params = ModelParams(eps=args.eps, n=args.n)
     x_max = args.x_max if args.x_max is not None else oracle.suggest_x_max(
         params, args.t1)
+    if x_max <= 1.0 - args.eps * args.t0:
+        raise _Invalid("--x-max must lie past the well edge 1 - eps*t0")
     nx = args.nx if args.nx is not None else int(np.ceil(x_max / _ORACLE_DX))
     dt = args.dt if args.dt is not None else _ORACLE_DT
     if nx < 2:

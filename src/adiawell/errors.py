@@ -2,10 +2,11 @@
 
 Every error raised on purpose by this package derives from AdiawellError so
 callers can catch the lot with one clause.  The subclasses mirror the failure
-modes of the numerical layers: branch-cut misuse, loss of accuracy in special
-function evaluation, root finding running off its bracket, contours that meet
-a singularity or fall short of their decay level, diverging contour traces,
-and linear-algebra failures inside the finite difference reference solver.
+modes of the numerical layers: branch-cut misuse, special-function arguments
+out of the evaluator's range, root finding running off its bracket, contours
+that meet a singularity or fall short of their decay level, diverging contour
+traces, and linear-algebra failures inside the finite difference reference
+solver.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ class PoleAt(AdiawellError):
 
 
 class AccuracyLoss(AdiawellError):
-    """A series or asymptotic evaluation cannot reach the requested accuracy."""
+    """A special-function evaluation cannot return an accurate value."""
 
 
 class OnCut(AdiawellError):

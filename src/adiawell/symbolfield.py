@@ -117,8 +117,9 @@ _ROUNDING_EST = 1e-15
 # a route enters the relocated region)
 _LADDER_EST = 2e-11
 
-# ladder anchors per block: each (anchors x 63) temporary stays near 4 MB
-_ANCHOR_BLOCK = 4096
+# ladder anchors per block: each (anchors x 63) complex temporary stays near
+# 0.5 MB, so a sweep's working set stays a few MB however many anchors it has
+_ANCHOR_BLOCK = 512
 
 
 @dataclass(frozen=True)

@@ -190,12 +190,14 @@ def test_sweep_serial_matches_parallel(tmp_path, monkeypatch):
 
 
 def test_sweep_single_point_has_no_order(tmp_path):
-    out = tmp_path / "one.csv"
-    code = run(["sweep", "--check", "adiabatic", "--eps", "0.1",
-                "--n", "1", "--tau", "-2", "--out", str(out)])
-    assert code == 0
-    _, rows = _rows(out)
-    assert rows[0][2] == "nan"
+    # one distinct eps gives no slope, also when it is repeated
+    for eps in ("0.1", "0.1,0.1"):
+        out = tmp_path / "one.csv"
+        code = run(["sweep", "--check", "adiabatic", "--eps", eps,
+                    "--n", "1", "--tau", "-2", "--out", str(out)])
+        assert code == 0
+        _, rows = _rows(out)
+        assert [row[2] for row in rows] == ["nan"] * len(rows)
 
 
 # =====================================================================
@@ -272,6 +274,8 @@ def test_flags_beat_json_config(tmp_path):
         (["oracle"], {"format_version": 1, "eps": 0.2, "n": 1, "t0": -10.0,
                       "t1": -10.0, "snap": "bogus"}),
         (["special", "--fn", "l0", "--z", "1.5"], {"format_version": 1, "side": 7}),
+        # JSON's NaN parses to a float, but no number may be non-finite
+        (["eigen"], {"format_version": 1, "n": 1, "tau": float("nan")}),
     ],
 )
 def test_json_config_rejected(tmp_path, payload):
@@ -305,6 +309,24 @@ def test_json_config_rejected(tmp_path, payload):
           "--tau", "-2", "--xi", "-0.3"], 2),
         (["compare", "--eps", "0.2", "--n", "1", "--t", "-10", "--delta-reg", "0"], 2),
         (["compare", "--eps", "0.2", "--n", "1", "--t", "-10", "--delta-reg", "-1"], 2),
+        # non-finite numbers are usage errors
+        (["eigen", "--n", "1", "--tau", "nan"], 2),
+        (["eigen", "--n", "1", "--tau=-inf"], 2),
+        (["compare", "--eps", "0.2", "--n", "1", "--t", "-10", "--delta-reg", "nan"], 2),
+        (["field", "--eps", "0.2", "--n", "1", "--t", "nan"], 2),
+        (["field", "--eps", "0.2", "--n", "1", "--t", "-10", "--x-max", "nan"], 2),
+        (["sweep", "--check", "adiabatic", "--eps", "0.2,0.1", "--n", "1",
+          "--tau", "nan"], 2),
+        (["oracle", "--eps", "0.2", "--n", "1", "--t0", "-10", "--t1", "-10",
+          "--x-max", "20", "--nx", "10", "--dt", "nan"], 2),
+        (["special", "--fn", "transition", "--z", "nan"], 2),
+        (["special", "--fn", "transition", "--z", "0.5,inf+1j"], 2),
+        (["special", "--fn", "R0", "--z", "0.5", "--eps", "0"], 2),
+        # the oracle's wall must lie past the well edge at t0 (here 3)
+        (["oracle", "--eps", "0.2", "--n", "1", "--t0", "-10", "--t1", "-10",
+          "--x-max", "-5", "--nx", "10"], 2),
+        (["oracle", "--eps", "0.2", "--n", "1", "--t0", "-10", "--t1", "-10",
+          "--x-max", "0.5", "--nx", "10"], 2),
     ],
 )
 def test_exit_codes(argv, code):

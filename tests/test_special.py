@@ -1,9 +1,10 @@
-"""Tests for the hand-rolled special functions.
+"""Tests for the special functions.
 
-Two independent oracles keep the implementation honest: scipy.special.airy
-(different algorithm family) and direct contour quadrature of the defining
-integrals via scipy.integrate.quad.  High-precision lattice-sum references
-come from mpmath's Hurwitz zeta and were frozen below.
+The Airy pair comes from scipy.special.airy; the transition profile built
+on it is checked against direct contour quadrature of the Airy integrals
+(scipy.integrate.quad) and against frozen 30-digit mpmath values.  The
+moment integral is checked against plain quadrature, and the lattice sum
+against frozen mpmath Hurwitz-zeta values.
 """
 
 from __future__ import annotations
@@ -13,11 +14,8 @@ import pytest
 import scipy.special
 from scipy.integrate import quad
 
-from adiawell import special
 from adiawell.errors import AccuracyLoss, OnCut
-from adiawell.special import a_fn, airy_ai, f_transition, zeta_fn
-
-RNG = np.random.default_rng(7)
+from adiawell.special import a_fn, f_transition, zeta_fn
 
 # mpmath 30 digits, frozen:
 #   zeta references via the Hurwitz identity zeta(t) = zeta_H(1/2, 1/2 - t)
@@ -27,80 +25,71 @@ ZETA_FROZEN = {
     2j: -1.9946305063631239998 + 1.9946270190293672856j,
     -3.0 + 4j: -4.0003414887276826198 + 1.9981659490395812731j,
 }
+#   F(exp(i pi/6) Z) by mpmath.airyai, keyed by Z; Z^2 = 6 at +-2.4495
+F_FROZEN = {
+    -6.0: 4.7849108177743886434e-6 - 1.4174957909262263441e-3j,
+    -2.4495: 6.5067166584789046514e-4 - 1.3246180516575350594e-2j,
+    -1.0: 4.0145656147689854545e-2 - 8.8539425968959244644e-2j,
+    0.5: 7.2239079713312445163e-1 - 1.7191057146663127919e-1j,
+    2.4495: 1.1473050825099985404 - 1.0645970751033556541j,
+    6.0: 1.268537305176844473 + 2.0954271914556902632j,
+}
 A0_FROZEN = 0.93889294010174456634  # a(0) = Gamma(2/3) / 3^{1/3}
 
 
-def airy_contour_oracle(z: complex) -> complex:
-    """Ai(z) = (1/2 pi i) int_C exp(t^3/3 - z t) dt, C along the rays
-    r*exp(+-i pi/3); fully independent of both implementations under test."""
+def airy_contour_oracle(z: complex) -> tuple[complex, complex]:
+    """(Ai(z), Ai'(z)) = (1/2 pi i) int_C (1, -t) exp(t^3/3 - z t) dt, C along
+    the rays r*exp(+-i pi/3); fully independent of scipy.special.airy."""
     rot_p = np.exp(1j * np.pi / 3.0)
     rot_m = np.exp(-1j * np.pi / 3.0)
 
-    def leg(rot, part):
+    def leg(rot, deriv, part):
         def f(r):
             t = rot * r
-            v = np.exp(t**3 / 3.0 - z * t) * rot
+            v = (-t) ** deriv * np.exp(t**3 / 3.0 - z * t) * rot
             return v.real if part == 0 else v.imag
 
         return f
 
-    out = 0.0 + 0.0j
-    for rot, sgn in ((rot_p, 1.0), (rot_m, -1.0)):
-        re, _ = quad(leg(rot, 0), 0.0, 14.0, epsabs=1e-13, limit=300)
-        im, _ = quad(leg(rot, 1), 0.0, 14.0, epsabs=1e-13, limit=300)
-        out += sgn * complex(re, im)
-    return out / (2j * np.pi)
-
-
-# ---------------------------------------------------------------------
-# Airy
-# ---------------------------------------------------------------------
-
-
-def test_airy_matches_scipy_series_zone():
-    pts = (RNG.uniform(-4, 4, 60) + 1j * RNG.uniform(-4, 4, 60)).astype(complex)
-    ai, aip, _, _ = scipy.special.airy(pts)
-    assert np.max(np.abs(airy_ai(pts, 0) - ai)) < 1e-11
-    assert np.max(np.abs(airy_ai(pts, 1) - aip)) < 1e-11
-
-
-def test_airy_matches_scipy_asymptotic_zone():
-    r = RNG.uniform(7.0, 40.0, 60)
-    th = RNG.uniform(-np.pi, np.pi, 60)
-    pts = r * np.exp(1j * th)
-    ai, aip, _, _ = scipy.special.airy(pts)
-    for deriv, ref in ((0, ai), (1, aip)):
-        got = airy_ai(pts, deriv)
-        rel = np.abs(got - ref) / np.maximum(np.abs(ref), 1e-280)
-        assert np.max(rel) < 5e-9
-
-
-def test_airy_matches_contour_oracle():
-    for z in (0.5, 2.0 - 1.0j, -1.5 + 0.5j, 3.0 * np.exp(1j * np.pi / 3)):
-        want = airy_contour_oracle(complex(z))
-        assert abs(airy_ai(complex(z)) - want) < 1e-10
-
-
-def test_airy_switch_seam_is_small():
-    # values just inside and outside the switch radius agree across the seam
-    th = np.linspace(0.0, 2.0 * np.pi, 17)[:-1]
-    inner = airy_ai(5.999 * np.exp(1j * th))
-    outer = airy_ai(6.001 * np.exp(1j * th))
-    ai_in, _, _, _ = scipy.special.airy(5.999 * np.exp(1j * th))
-    ai_out, _, _, _ = scipy.special.airy(6.001 * np.exp(1j * th))
-    assert np.max(np.abs(inner - ai_in) / np.maximum(np.abs(ai_in), 1.0)) < 1e-10
-    assert np.max(np.abs(outer - ai_out) / np.maximum(np.abs(ai_out), 1e-30)) < 1e-7
-
-
-def test_airy_accuracy_loss_raised_when_target_unreachable(monkeypatch):
-    monkeypatch.setattr(special, "_TARGET_ABS_TOL", 1e-15)
-    with pytest.raises(AccuracyLoss):
-        airy_ai(6.5 * np.exp(1j * np.pi / 3.0), 0)
+    pair = []
+    for deriv in (0, 1):
+        out = 0.0 + 0.0j
+        for rot, sgn in ((rot_p, 1.0), (rot_m, -1.0)):
+            re, _ = quad(leg(rot, deriv, 0), 0.0, 14.0, epsabs=1e-13, limit=300)
+            im, _ = quad(leg(rot, deriv, 1), 0.0, 14.0, epsabs=1e-13, limit=300)
+            out += sgn * complex(re, im)
+        pair.append(out / (2j * np.pi))
+    return pair[0], pair[1]
 
 
 # ---------------------------------------------------------------------
 # the transition combination F
 # ---------------------------------------------------------------------
+
+
+def test_airy_matches_contour_oracle():
+    # F built from the contour Airy pair at z^2, on the ray exp(i pi/6) Z and off it
+    rot = np.exp(1j * np.pi / 6.0)
+    for z in (0.5, 1.5 - 0.3j, 1.2 * rot, -1.5 * rot, -0.8 + 0.6j):
+        ai, aip = airy_contour_oracle(complex(z * z))
+        want = np.sqrt(np.pi) * np.exp(-2.0 * z**3 / 3.0 - 1j * np.pi / 12.0) * (z * ai - aip)
+        assert abs(f_transition(complex(z)) - want) < 1e-10 * max(1.0, abs(want))
+
+
+def test_f_transition_matches_mpmath_on_the_ray():
+    rot = np.exp(1j * np.pi / 6.0)
+    for big_z, want in F_FROZEN.items():
+        assert abs(f_transition(rot * big_z) - want) < 1e-11 * abs(want), big_z
+    # the array path gives the same values
+    got = f_transition(rot * np.array(list(F_FROZEN)))
+    want = np.array(list(F_FROZEN.values()))
+    assert np.all(np.abs(got - want) < 1e-11 * np.abs(want))
+
+
+def test_f_transition_out_of_airy_range_raises():
+    # scipy.special.airy gives NaN at |z^2| = 1e10; the true |F| is about 316
+    with pytest.raises(AccuracyLoss):
+        f_transition(np.exp(1j * np.pi / 6.0) * 1e5)
 
 
 def test_f_transition_large_positive_limit():

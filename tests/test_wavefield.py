@@ -12,6 +12,8 @@ normalization and phase conventions against accidental sign drift.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -527,6 +529,19 @@ def test_series_continuous_at_well_edge():
         val_gap, der_gap = wfd.interface_residuals(P02, -10.0, p)
         assert val_gap < 1e-9
         assert der_gap < 1e-8
+
+
+def test_fourier_mode_peak_memory():
+    # the lattice pass sweeps every offset at once; its ladder works in blocks,
+    # so the traced peak stays a few MiB (it was about 12 with 4096-anchor blocks)
+    xs = np.linspace(0.0, 3.0, 200)
+    tracemalloc.start()
+    try:
+        wfd.fourier_mode(P02, -10.0, xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 def test_fourier_recovery_matches_contour():
