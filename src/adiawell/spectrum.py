@@ -51,6 +51,11 @@ _NEWTON_STEPS = 16
 _NEWTON_TOL = 1e-13
 
 
+def _check_eps(eps: float) -> None:
+    if not (0.0 < eps < 1.0):
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Slow-drive parameters: rate eps in (0, 1), mode index n >= 1."""
@@ -59,8 +64,7 @@ class ModelParams:
     n: int
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.eps < 1.0):
-            raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
+        _check_eps(self.eps)
         if self.n < 1:
             raise ValueError(f"mode index must be >= 1, got {self.n}")
 

@@ -71,6 +71,7 @@ from numpy.polynomial.legendre import legint, legvander
 from ._panels import gl_panels, gl_rule
 from .branches import _l0_raw, _q0_raw, int_l0, l0, l0_prime, rho0
 from .errors import ContourClash
+from .spectrum import _check_eps
 
 __all__ = [
     "QuadratureReport",
@@ -184,6 +185,7 @@ def _big_l_values(p, eps: float, side=0) -> np.ndarray:
 
 def big_l0(p, eps: float, side=0) -> QuadratureReport:
     """Smoothed branch function L0(p); see module docstring for the method."""
+    _check_eps(eps)
     val = _big_l_values(p, eps, side)
     return QuadratureReport(complex(val[0]), _estimate_l_error(p, eps))
 
@@ -291,6 +293,7 @@ def amplitude_a(p, eps: float) -> QuadratureReport:
 
     Points on the upper edge of [1, inf) are served by upper_edge_amplitude.
     """
+    _check_eps(eps)
     z = complex(p)
     if z == 0.0:
         return QuadratureReport(1.0 + 0.0j, 0.0)

@@ -46,6 +46,8 @@ Three interchangeable evaluation contours are provided.
                eps-only parts (edge nodes with A there, A(1), the amplitude
                down the vertical leg) are built once per eps; the leg's nodes
                follow the phase of each (n, tau) and are built per call.
+               Its sine basis is summed in closed form from real matrices,
+               e^{xy} on the leg and sin(px) on the edge (`_hook_sums`).
 * ``ray``      the fixed line e^{i pi/4} R.  Simple and saddle-free, but the
                integrand climbs to e^{(pi n)^2/(2(1-tau) eps)} before it
                cancels, so it is only a cross-check at moderate eps.
@@ -75,7 +77,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -471,16 +473,15 @@ def _leg_ln_amplitude(eps: float, ys: np.ndarray) -> np.ndarray:
     return _dense(tables["leg"], seg, u)
 
 
-def _gamma_weights(
-    n: int, tau: float, eps: float
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], float]:
-    """Hook-contour nodes p_j and weights W_j for the inside integral at (n, tau),
-    for the 8- and 16-point rules, as `_inside_weights` returns them.
+def _gamma_weights(n: int, tau: float, eps: float) -> tuple[list[tuple], float]:
+    """Hook weights W_j at (n, tau) for the 8- and 16-point rules, each rule a leg
+    block (depths y_j of p_j = 1 - i y_j, W_j) and an edge block (p_j >= 1, W_j).
 
-    On the vertical leg |sin(px)| grows like e^{y x}, so truncation is
+    On the vertical leg |sin(px)| grows like e^{xy}, so truncation is
     decided by the net exponent Im S / eps - (1 - tau) y, not by Im S
     alone; nodes past net decay level + 10 contribute below 5e-20 and are
-    dropped, which also keeps the basis sines out of overflow range.
+    dropped.  The leg ends by _MINUS_DEPTH, so x y <= 12 (1 - tau): e^{xy} stays
+    finite while 1 - tau < 59 (at n <= 3 x y reaches 86, at eps 0.2, tau_3).
     """
     edges = _minus_panels(n, tau, eps, _minus_depth(n, tau, eps))
     one_m_tau = 1.0 - tau
@@ -502,8 +503,7 @@ def _gamma_weights(
         plus = tables["edge"][rule]
         s_plus = plus["xs"] ** 2 * one_m_tau - two_pi_n * plus["xs"] + plus["il"]
         w_plus = plus["wa"] * np.exp(1j * s_plus / eps)
-        nodes = np.concatenate([p_m[:keep], plus["xs"]])
-        rules.append((nodes, np.concatenate([w_minus, w_plus])))
+        rules.append(((ys[:keep], w_minus), (plus["xs"], w_plus)))
     return rules, tables["leg_est"] + _LADDER_EST
 
 
@@ -529,18 +529,43 @@ def _pick_inside_method(n: int, tau: float, eps: float) -> str:
     return "gamma" if delta <= window else "sd"
 
 
-def _contour_sum(fn, coords, rules, amp_est: float, pref) -> tuple[np.ndarray, np.ndarray]:
-    """pref * sum_j W_j fn(c k_j) at each c in coords, by the 16-point rule of rules
-    [(k, W) of 8 points, (k, W) of 16], and its error bar: the 8-vs-16 point
-    gap plus amp_est carried through |basis| @ |W|."""
-    (k8, w8), (k16, w16) = rules
-    coarse = fn(np.multiply.outer(coords, k8)) @ w8
-    # one basis matrix serves the sum and its error scale; taking fn in
-    # place keeps a single copy of it alive
-    basis = np.multiply.outer(coords, k16)
-    fn(basis, out=basis)
-    fine = basis @ w16
-    scale = np.abs(basis) @ np.abs(w16)
+def _matrix_sums(fn, coords, rule, scale: bool):
+    """basis @ W for the basis fn(c k_j), rule = (k, W), and |basis| @ |W| if scale."""
+    k, w = rule
+    basis = np.multiply.outer(coords, k)
+    fn(basis, out=basis)  # in place, so one copy of the basis lives
+    return basis @ w, np.abs(basis) @ np.abs(w) if scale else None
+
+
+def _real_times(m: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """m @ w for a real matrix m and a complex vector w, without a complex copy of m."""
+    return m @ np.column_stack([w.real, w.imag]) @ [1.0, 1.0j]
+
+
+def _hook_sums(x, rule, scale: bool):
+    """`_matrix_sums` for sin on a hook rule ((y, W) of the leg, (k, W) of the edge)
+    by real matrices: sin(px) = sin x cosh(xy) - i cos x sinh(xy) and |sin(px)|^2
+    = sin^2 x + sinh^2(xy) at p = 1 - iy, and sin(px) is real on the edge."""
+    (ys, w_leg), (ks, w_edge) = rule
+    grow = np.exp(np.multiply.outer(x, ys))
+    decay = 1.0 / grow
+    up, down = _real_times(grow, w_leg), _real_times(decay, w_leg)
+    edge = np.sin(np.multiply.outer(x, ks))
+    total = 0.5 * (np.sin(x) * (up + down) - 1j * np.cos(x) * (up - down))
+    total += _real_times(edge, w_edge)
+    if not scale:
+        return total, None
+    grow -= decay  # 2 sinh(xy); in place, so the leg never holds more than two matrices
+    np.hypot(2.0 * np.sin(x)[:, None], grow, out=grow)
+    return total, 0.5 * (grow @ np.abs(w_leg)) + np.abs(edge, out=edge) @ np.abs(w_edge)
+
+
+def _contour_sum(sums, coords, rules, amp_est: float, pref) -> tuple[np.ndarray, np.ndarray]:
+    """pref * sum_j W_j b_j(c) at each c in coords by the 16-point rule of rules (8
+    points, 16 points), and its bar: the 8-vs-16 point gap plus amp_est carried
+    through |basis| @ |W|, which sums(coords, rule, scale=True) also gives."""
+    coarse, _ = sums(coords, rules[0], False)
+    fine, scale = sums(coords, rules[1], True)
     return pref * fine, np.abs(pref) * (np.abs(fine - coarse) + amp_est * scale)
 
 
@@ -565,17 +590,14 @@ def mode_inside(
     if method == "gamma":
         rules, amp_est = _gamma_weights(n, tau, eps)
     elif method in ("sd", "ray"):
-        verts = (
-            trace_steepest(n, tau, eps)
-            if method == "sd"
-            else _ray_vertices(n, tau, eps)
-        )
+        verts = trace_steepest(n, tau, eps) if method == "sd" else _ray_vertices(n, tau, eps)
         rules, amp_est = _inside_weights(verts, n, tau, eps)
     else:
         raise ValueError(f"unknown method {method!r}")
 
     pref = np.exp(1j * t) / np.sqrt(eps * np.pi)
-    psi, est = _contour_sum(np.sin, x_arr, rules, amp_est, pref)
+    sums = _hook_sums if method == "gamma" else partial(_matrix_sums, np.sin)
+    psi, est = _contour_sum(sums, x_arr, rules, amp_est, pref)
     return FieldSample(x_arr, t, psi, est, method)
 
 
@@ -618,7 +640,8 @@ def _outside_single(
     pref = (-1.0) ** (n + 1) * np.exp(
         1j * t - 0.5j * xi - 0.25j * eps * (1.0 - tau)
     ) / np.sqrt(eps * np.pi)
-    return _contour_sum(np.exp, (1j / eps) * (xi - xi_c), rules, amp_est, pref)
+    exp_sums, coords = partial(_matrix_sums, np.exp), (1j / eps) * (xi - xi_c)
+    return _contour_sum(exp_sums, coords, rules, amp_est, pref)
 
 
 def mode_outside(params: ModelParams, t: float, x) -> FieldSample:

@@ -470,6 +470,15 @@ def test_eps_memo_stays_within_its_bound():
 # ---------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.1, 1.5])
+@pytest.mark.parametrize("fn", [sf.big_l0, sf.amplitude_a, sf.r0])
+def test_entry_points_reject_eps_outside_unit_interval(fn, eps):
+    # the range ModelParams enforces; r0(0.5, 0) used to divide by zero and
+    # big_l0(0.5, 0) to return 1.047
+    with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\)"):
+        fn(0.5, eps)
+
+
 def test_contour_guards():
     with pytest.raises(ContourClash):
         sf.upper_edge_amplitude(0.1, np.array([0.8]))

@@ -22,7 +22,7 @@ from adiawell import wavefield as wfd
 from adiawell._panels import gl_rule
 from adiawell.branches import int_l0, l0
 from adiawell.cli import run
-from adiawell.errors import BranchViolation, ContourClash, TraceDiverged
+from adiawell.errors import BranchViolation, ContourClash, TraceDiverged, TruncationTooSmall
 from adiawell.spectrum import ModelParams, p_n, p_n_tilde, tau_threshold
 
 P02 = ModelParams(eps=0.2, n=1)
@@ -250,6 +250,38 @@ def test_gamma_at_and_past_threshold():
     assert np.all(np.isfinite(late.psi))
     assert np.all(np.abs(late.psi) < 0.1)
     assert np.all(late.est_error < 1e-7)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("eps", [0.2, 0.125, 0.05])
+def test_hook_sum_matches_complex_sine_basis(eps, n):
+    # the hook's closed-form sums against the complex sine basis on the same
+    # nodes; n = 3 at threshold gives the deepest leg in x y (86 at eps 0.2)
+    for delta in (-0.5, 0.0, 0.5, 1.0):
+        tau = tau_threshold(n) + delta
+        try:
+            rules, amp_est = wfd._gamma_weights(n, tau, eps)
+        except TruncationTooSmall:
+            assert delta < 0.0  # the leg can be too short below threshold only
+            continue
+        x = np.linspace(0.0, 1.0 - tau, 200)
+        ref = []
+        for (ys, w_leg), (ks, w_edge) in rules:
+            w = np.concatenate([w_leg, w_edge])
+            basis = np.sin(np.multiply.outer(x, np.concatenate([1.0 - 1j * ys, ks])))
+            ref.append((basis @ w, np.abs(basis) @ np.abs(w)))
+        (coarse_ref, _), (fine_ref, scale_ref) = ref
+        coarse, _ = wfd._hook_sums(x, rules[0], False)
+        fine, scale = wfd._hook_sums(x, rules[1], True)
+        size = np.max(np.abs(fine_ref))
+        assert np.max(np.abs(fine - fine_ref)) <= 1e-14 * size
+        assert np.max(np.abs(coarse - coarse_ref)) <= 1e-14 * size
+        assert np.all(np.abs(scale - scale_ref) <= 1e-10 * scale_ref)
+        # the bar: the 16-point sum and the gap as above, the scale to 1e-10
+        psi, est = wfd._contour_sum(wfd._hook_sums, x, rules, amp_est, 1.0)
+        est_ref = np.abs(fine_ref - coarse_ref) + amp_est * scale_ref
+        assert np.array_equal(psi, fine)
+        assert np.all(np.abs(est - est_ref) <= 2e-14 * size + 1e-10 * est_ref)
 
 
 @pytest.mark.parametrize(
