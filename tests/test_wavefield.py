@@ -277,7 +277,9 @@ def test_hook_sum_matches_complex_sine_basis(eps, n):
         assert np.max(np.abs(fine - fine_ref)) <= 1e-14 * size
         assert np.max(np.abs(coarse - coarse_ref)) <= 1e-14 * size
         assert np.all(np.abs(scale - scale_ref) <= 1e-10 * scale_ref)
-        # the bar: the 16-point sum and the gap as above, the scale to 1e-10
+        # the bar's gap |fine - coarse| differs from the two sums above, each held
+        # to 1e-14 max|psi|; on a gap near 1e-10 max|psi| that is up to 1e-4 of
+        # it, so the bar is held to 1e-10 relative in its scale term only
         psi, est = wfd._contour_sum(wfd._hook_sums, x, rules, amp_est, 1.0)
         est_ref = np.abs(fine_ref - coarse_ref) + amp_est * scale_ref
         assert np.array_equal(psi, fine)
