@@ -14,17 +14,13 @@ linear solve giving up).
 A ``--json-config FILE`` holding ``{"format_version": 1, "<flag>": value}``
 can replace flags; explicit flags win over config values.  Either way every
 number must be finite, eps must lie in (0, 1) and eps*t may not exceed 1.
-The worker pool used for sweeps is capped by the ``ADIA_THREADS``
-environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -135,8 +131,6 @@ def _fmt(value) -> str:
     """Shortest round-trip text for one cell."""
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return repr(float(value))
 
 
@@ -190,21 +184,15 @@ def _cmd_special(args) -> tuple[list[str], list[list]]:
     points = _parse_complex_list(args.z)
     side = args.side if args.side is not None else 0
     deriv = args.deriv if args.deriv is not None else 0
-
-    def needs_eps():
-        if args.eps is None:
-            raise _Invalid(f"--eps is required for --fn {args.fn}")
-        return args.eps
-
     if args.fn in ("q0", "l0", "rho0"):
         fn = getattr(branches, args.fn)
         values = [fn(z, side=side) for z in points]
     elif args.fn == "L0":
-        eps = needs_eps()
-        values = [symbolfield.big_l0(z, eps, side=side).value for z in points]
+        _require(args, "eps")
+        values = [symbolfield.big_l0(z, args.eps, side=side).value for z in points]
     elif args.fn == "R0":
-        eps = needs_eps()
-        values = [symbolfield.r0(z, eps).value for z in points]
+        _require(args, "eps")
+        values = [symbolfield.r0(z, args.eps).value for z in points]
     elif args.fn == "transition":
         values = [special.f_transition(z) for z in points]
     elif args.fn == "a":
@@ -285,7 +273,7 @@ def _cmd_compare(args) -> tuple[list[str], list[list]]:
 
 def _sweep_point(check: str, eps: float, n: int, tau: float,
                  x: float | None, xi: float) -> float:
-    """Asymptotics-vs-exact error for one eps; runs inside pool workers."""
+    """Asymptotics-vs-exact error for one eps."""
     params = ModelParams(eps=eps, n=n)
     t = tau / eps
     edge = 1.0 - tau
@@ -304,15 +292,6 @@ def _sweep_point(check: str, eps: float, n: int, tau: float,
     raise _Invalid(f"unknown --check {check!r}")
 
 
-def _worker_cap(n_jobs: int) -> int:
-    raw = os.environ.get("ADIA_THREADS", "")
-    try:
-        cap = int(raw) if raw else (os.cpu_count() or 1)
-    except ValueError as exc:
-        raise _Invalid(f"ADIA_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, min(n_jobs, cap))
-
-
 def _cmd_sweep(args) -> tuple[list[str], list[list]]:
     _require(args, "eps", "n", "check")
     eps_list = _parse_float_list(args.eps)
@@ -323,14 +302,7 @@ def _cmd_sweep(args) -> tuple[list[str], list[list]]:
         tau = args.tau
     _validate(args, eps=np.array(eps_list), tau=tau)
     xi = args.xi if args.xi is not None else 0.5
-
-    jobs = [(args.check, eps, args.n, tau, args.x, xi) for eps in eps_list]
-    workers = _worker_cap(len(jobs))
-    if workers == 1:
-        errs = [_sweep_point(*job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            errs = list(pool.map(_sweep_point, *zip(*jobs)))
+    errs = [_sweep_point(args.check, eps, args.n, tau, args.x, xi) for eps in eps_list]
 
     # a slope needs two distinct eps with a positive error
     positive = [(e, err) for e, err in zip(eps_list, errs) if err > 0.0]
@@ -452,15 +424,20 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, subs.choices
 
 
+# built once per process: parsing leaves the parser unchanged, and each request
+# gets its own namespace.  _build_parser stays callable: adiabench/run.py calls
+# it to time set-up.
+_PARSER, _FLAGS = _build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
     """Parse argv, dispatch, and write CSV; returns the process exit code."""
-    parser, flags = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _merge_config(args, flags[args.subcommand])
+        _merge_config(args, _FLAGS[args.subcommand])
         header, rows = _DISPATCH[args.subcommand](args)
         _emit(header, rows, args.out)
     except _Invalid as exc:

@@ -54,7 +54,9 @@ Three interchangeable evaluation contours are provided.
 
 The automatic dispatch uses ``gamma`` once tau_n - tau <= 2 eps^{1/3} (the
 saddle enters the eps^{1/3} collision neighbourhood of p = 1, where the
-descent geometry degenerates) and ``sd`` otherwise.
+descent geometry degenerates), capped at 0.6, and while the hook's vertical
+leg can reach the decay level (at larger eps and n it cannot over part of
+that window); ``sd`` otherwise.
 
 The lattice sum behind the integral
 -----------------------------------
@@ -524,9 +526,17 @@ class FieldSample:
 
 
 def _pick_inside_method(n: int, tau: float, eps: float) -> str:
+    """The hook within its window below threshold, where its leg can reach the
+    decay level (`_minus_depth`); descent otherwise."""
     delta = tau_threshold(n) - tau
     window = min(_GAMMA_SWITCH * eps ** (1.0 / 3.0), _GAMMA_CAP)
-    return "gamma" if delta <= window else "sd"
+    if delta > window:
+        return "sd"
+    try:
+        _minus_depth(n, tau, eps)
+    except TruncationTooSmall:
+        return "sd"
+    return "gamma"
 
 
 def _matrix_sums(fn, coords, rule, scale: bool):

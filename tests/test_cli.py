@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import adiawell
-from adiawell import branches, spectrum, symbolfield
+from adiawell import branches, cli, spectrum, symbolfield
 from adiawell.cli import run
 
 try:
@@ -163,8 +163,7 @@ def test_compare_csv_contract(tmp_path):
 # =====================================================================
 
 
-def test_sweep_rows_follow_input_order(tmp_path, monkeypatch):
-    monkeypatch.setenv("ADIA_THREADS", "2")
+def test_sweep_rows_follow_input_order(tmp_path):
     out = tmp_path / "sweep.csv"
     code = run(["sweep", "--check", "adiabatic", "--eps", "0.1,0.05",
                 "--n", "1", "--tau", "-2", "--out", str(out)])
@@ -176,17 +175,6 @@ def test_sweep_rows_follow_input_order(tmp_path, monkeypatch):
     orders = {row[2] for row in rows}
     assert len(orders) == 1
     assert 0.7 < float(orders.pop()) < 1.3
-
-
-def test_sweep_serial_matches_parallel(tmp_path, monkeypatch):
-    argv = ["sweep", "--check", "adiabatic", "--eps", "0.1,0.05",
-            "--n", "1", "--tau", "-2"]
-    a, b = tmp_path / "par.csv", tmp_path / "ser.csv"
-    monkeypatch.setenv("ADIA_THREADS", "2")
-    assert run(argv + ["--out", str(a)]) == 0
-    monkeypatch.setenv("ADIA_THREADS", "1")
-    assert run(argv + ["--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
 
 
 def test_sweep_single_point_has_no_order(tmp_path):
@@ -258,6 +246,31 @@ def test_flags_beat_json_config(tmp_path):
     assert code == 0
     _, rows = _rows(out)
     assert float(rows[0][0]) == spectrum.p_n(1, -1.0)
+
+
+def test_run_builds_no_parser(monkeypatch):
+    def fail():
+        raise AssertionError("run() must reuse the parser built at import")
+
+    monkeypatch.setattr(cli, "_build_parser", fail)
+    assert run(["eigen", "--n", "1", "--tau", "-2"]) == 0
+
+
+def test_requests_in_one_process_are_independent(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format_version": 1, "n": 1, "tau": -2.0}))
+    assert run(["eigen", "--json-config", str(cfg)]) == 0
+    # the config's tau does not carry into the next request
+    assert run(["eigen", "--n", "1"]) == 2
+    capsys.readouterr()
+    argv = ["eigen", "--n", "1", "--tau", "-2"]
+    assert run(argv) == 0
+    before = capsys.readouterr().out
+    # a request that fails in the parser after reading --tau leaves nothing behind
+    assert run(["eigen", "--n", "1", "--tau", "-1", "--bogus"]) == 2
+    capsys.readouterr()
+    assert run(argv) == 0
+    assert capsys.readouterr().out == before
 
 
 # each payload: the command line and the config file it is given

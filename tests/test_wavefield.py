@@ -324,6 +324,26 @@ def test_auto_dispatch_picks_gamma_only_near_threshold():
     assert wfd.mode_inside(P01, -20.0, np.array([0.5])).method == "sd"
 
 
+@pytest.mark.parametrize("eps, n, delta", [(0.2, 2, 0.5), (0.2, 3, 0.3), (0.125, 3, 0.5)])
+def test_auto_dispatch_falls_back_to_descent_when_leg_is_short(tmp_path, eps, n, delta):
+    # inside the hook's window, but its leg cannot reach the decay level here
+    tau = tau_threshold(n) - delta
+    params = ModelParams(eps=eps, n=n)
+    xs = np.linspace(0.0, 1.0 - tau, 3)
+    with pytest.raises(TruncationTooSmall):
+        wfd.mode_inside(params, tau / eps, xs, method="gamma")
+    auto = wfd.mode_inside(params, tau / eps, xs)
+    sd = wfd.mode_inside(params, tau / eps, xs, method="sd")
+    assert auto.method == "sd"
+    assert np.array_equal(auto.psi, sd.psi) and np.array_equal(auto.est_error, sd.est_error)
+    out = tmp_path / "field.csv"
+    code = run(["field", "--eps", str(eps), "--n", str(n), "--t", repr(tau / eps),
+                "--x-steps", "3", "--out", str(out)])
+    assert code == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [complex(float(r[2]), float(r[3])) for r in rows] == list(sd.psi)
+
+
 def test_mode_inside_rejects_outside_points():
     with pytest.raises(ContourClash):
         wfd.mode_inside(P02, -10.0, np.array([3.2]))
