@@ -145,6 +145,9 @@ _LEG_TOO_SHORT = ("vertical hook leg is too short for this (n, tau); the saddle 
 _BAND_WIDTH = 2.0
 # memo bound: hook tables per eps
 _EPS_SLOTS = 8
+# first degree of the Chebyshev sum in x (`_contour_sum`), doubled until its
+# coefficient tail reaches rounding
+_CHEB_START = 24
 
 
 # =====================================================================
@@ -570,13 +573,94 @@ def _hook_sums(x, rule, scale: bool):
     return total, 0.5 * (grow @ np.abs(w_leg)) + np.abs(edge, out=edge) @ np.abs(w_edge)
 
 
-def _contour_sum(sums, coords, rules, amp_est: float, pref) -> tuple[np.ndarray, np.ndarray]:
-    """pref * sum_j W_j b_j(c) at each c in coords by the 16-point rule of rules (8
+def _cheb_points(lo: float, hi: float, m: int) -> np.ndarray:
+    """The m + 1 Chebyshev points of the second kind on [lo, hi], ascending; the
+    points of degree m are the even-indexed points of degree 2m, bit for bit."""
+    pts = lo + 0.5 * (hi - lo) * (1.0 - np.cos(np.pi * np.arange(m + 1) / m))
+    pts[-1] = hi
+    return pts
+
+
+def _cheb_tail(vals: np.ndarray) -> np.ndarray:
+    """|c_k| for k > 3m/4 of the Chebyshev series through vals at `_cheb_points`."""
+    m = vals.size - 1
+    coeffs = np.abs(np.fft.fft(np.concatenate([vals, vals[-2:0:-1]]))[: m + 1]) / m
+    coeffs[-1] *= 0.5
+    return coeffs[3 * m // 4 + 1:]
+
+
+def _barycentric(pts: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Rows that carry values at the Chebyshev points pts to the points u, by the
+    barycentric formula (Berrut & Trefethen, SIAM Rev. 46 (2004) 501)."""
+    w = (-1.0) ** np.arange(pts.size)
+    w[[0, -1]] *= 0.5
+    rows = np.subtract.outer(u, pts)
+    hit = np.nonzero(rows == 0.0)
+    with np.errstate(divide="ignore"):
+        np.divide(w, rows, out=rows)
+    rows[hit[0]] = 0.0
+    rows[hit] = 1.0
+    rows /= rows.sum(axis=1, keepdims=True)
+    return rows
+
+
+def _chebyshev_sum(sums, lo: float, hi: float, rule, limit: int):
+    """sums(pts, rule, True) at the Chebyshev points pts of [lo, hi], for the first
+    degree m = _CHEB_START * 2^k whose coefficient tail is at rounding.
+
+    A value's rounding is about eps |basis| @ |W|, and the transform to
+    coefficients at most doubles it, so the tail is at rounding once it is
+    below 2 eps times the largest scale (Aurentz & Trefethen, ACM TOMS 43
+    (2017) 33, chop a series where its coefficients reach that level).  Each
+    doubling sums at the new points only.  Returns (pts, values, scale, tail
+    sum), or None once m + 1 would reach limit.
+    """
+    m = _CHEB_START
+    pts = _cheb_points(lo, hi, m)
+    vals, scale = sums(pts, rule, True)
+    while True:
+        tail = _cheb_tail(vals)
+        if tail.max() <= 2.0 * np.finfo(float).eps * scale.max():
+            return pts, vals, scale, tail.sum()
+        m *= 2
+        if m + 1 >= limit:
+            return None
+        pts = _cheb_points(lo, hi, m)
+        new_vals, new_scale = sums(pts[1::2], rule, True)
+        # interleave: the old points are the even-indexed ones
+        vals = np.insert(new_vals, np.arange(vals.size), vals)
+        scale = np.insert(new_scale, np.arange(scale.size), scale)
+
+
+def _contour_sum(sums, u, rules, amp_est: float, pref) -> tuple[np.ndarray, np.ndarray]:
+    """pref * sum_j W_j b_j(u) at each real u by the 16-point rule of rules (8
     points, 16 points), and its bar: the 8-vs-16 point gap plus amp_est carried
-    through |basis| @ |W|, which sums(coords, rule, scale=True) also gives."""
-    coarse, _ = sums(coords, rules[0], False)
-    fine, scale = sums(coords, rules[1], True)
-    return pref * fine, np.abs(pref) * (np.abs(fine - coarse) + amp_est * scale)
+    through |basis| @ |W|, which sums(u, rule, scale=True) also gives.
+
+    The sums are analytic in u.  A batch of more than _CHEB_START + 1 points on
+    a non-degenerate interval takes them at Chebyshev points of that interval
+    (`_chebyshev_sum`, which picks the degree from the coefficient tail) and
+    interpolates both rules barycentrically, and the bar adds the coefficient
+    tail.  The scale |basis| @ |W| has kinks where one node's |b_j| dips to 0
+    (n >= 2), below which its polynomial interpolant rings; the bar takes the
+    larger of that interpolant and the piecewise-linear one, which spans each
+    kink from above.  Smaller batches, and batches the degree cannot undercut,
+    sum at u directly.
+    """
+    cheb = None
+    if u.size > _CHEB_START + 1 and u.max() > u.min():
+        cheb = _chebyshev_sum(sums, u.min(), u.max(), rules[1], u.size)
+    if cheb is None:
+        coarse, _ = sums(u, rules[0], False)
+        fine, scale = sums(u, rules[1], True)
+        return pref * fine, np.abs(pref) * (np.abs(fine - coarse) + amp_est * scale)
+    pts, vals, scale, tail = cheb
+    coarse, _ = sums(pts, rules[0], False)
+    rows = _barycentric(pts, u)
+    fine = _real_times(rows, vals)
+    gap = np.abs(fine - _real_times(rows, coarse))
+    scale = np.maximum(rows @ scale, np.interp(u, pts, scale))
+    return pref * fine, np.abs(pref) * (gap + amp_est * scale + tail)
 
 
 def mode_inside(
@@ -585,9 +669,14 @@ def mode_inside(
     """Psi_n(x, t) for x inside the well, by contour quadrature.
 
     x may be scalar or an array (all entries <= 1 - eps*t); the nodes and
-    weights are built once and shared across the whole x batch.  The error
+    weights are built once and shared across the whole x batch.  A batch of
+    more than _CHEB_START + 1 points, not all equal, is summed at m + 1 Chebyshev points
+    of [min x, max x], m doubled from _CHEB_START until the coefficient tail
+    reaches rounding, and interpolated barycentrically (`_contour_sum`); so
+    the basis never holds more than (m + 1) x nodes entries.  The error
     estimate combines an embedded 8-vs-16 point quadrature comparison with
-    the amplitude table's own accuracy report.
+    the amplitude table's own accuracy report, carried through |basis| @ |W|,
+    plus the coefficient tail where the batch was interpolated.
     """
     eps, n = params.eps, params.n
     tau = eps * t
@@ -650,8 +739,11 @@ def _outside_single(
     pref = (-1.0) ** (n + 1) * np.exp(
         1j * t - 0.5j * xi - 0.25j * eps * (1.0 - tau)
     ) / np.sqrt(eps * np.pi)
-    exp_sums, coords = partial(_matrix_sums, np.exp), (1j / eps) * (xi - xi_c)
-    return _contour_sum(exp_sums, coords, rules, amp_est, pref)
+
+    def band_sums(xs, rule, scale):
+        return _matrix_sums(np.exp, (1j / eps) * (xs - xi_c), rule, scale)
+
+    return _contour_sum(band_sums, xi, rules, amp_est, pref)
 
 
 def mode_outside(params: ModelParams, t: float, x) -> FieldSample:

@@ -279,11 +279,17 @@ def test_hook_sum_matches_complex_sine_basis(eps, n):
         assert np.all(np.abs(scale - scale_ref) <= 1e-10 * scale_ref)
         # the bar's gap |fine - coarse| differs from the two sums above, each held
         # to 1e-14 max|psi|; on a gap near 1e-10 max|psi| that is up to 1e-4 of
-        # it, so the bar is held to 1e-10 relative in its scale term only
-        psi, est = wfd._contour_sum(wfd._hook_sums, x, rules, amp_est, 1.0)
+        # it, so the bar is held to 1e-10 relative in its scale term only.  A
+        # batch of _CHEB_START + 1 points sums directly, bit for bit
         est_ref = np.abs(fine_ref - coarse_ref) + amp_est * scale_ref
-        assert np.array_equal(psi, fine)
-        assert np.all(np.abs(est - est_ref) <= 2e-14 * size + 1e-10 * est_ref)
+        few = np.linspace(0, x.size - 1, wfd._CHEB_START + 1).astype(int)
+        psi, est = wfd._contour_sum(wfd._hook_sums, x[few], rules, amp_est, 1.0)
+        assert np.array_equal(psi, wfd._hook_sums(x[few], rules[1], True)[0])
+        assert np.all(np.abs(est - est_ref[few]) <= 2e-14 * size + 1e-10 * est_ref[few])
+        # all 200 interpolate from Chebyshev points in x
+        psi, est = wfd._contour_sum(wfd._hook_sums, x, rules, amp_est, 1.0)
+        assert np.max(np.abs(psi - fine_ref)) <= 1e-14 * size
+        assert np.all(est >= 0.99 * est_ref)
 
 
 @pytest.mark.parametrize(
@@ -342,6 +348,124 @@ def test_auto_dispatch_falls_back_to_descent_when_leg_is_short(tmp_path, eps, n,
     assert code == 0
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert [complex(float(r[2]), float(r[3])) for r in rows] == list(sd.psi)
+
+
+# ---------------------------------------------------------------------
+# the contour sums at Chebyshev points in x
+# ---------------------------------------------------------------------
+
+
+def _both_ways(monkeypatch, evaluate):
+    """evaluate() by the Chebyshev sum, which must take it, and then summed at
+    every point of the batch."""
+    taken = []
+    chebyshev_sum = wfd._chebyshev_sum
+
+    def recorded(*args):
+        taken.append(chebyshev_sum(*args) is not None)
+        return taken[-1] and chebyshev_sum(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(wfd, "_chebyshev_sum", recorded)
+        cheb = evaluate()
+    assert taken and all(taken)
+    with monkeypatch.context() as m:
+        m.setattr(wfd, "_CHEB_START", 10**9)
+        return cheb, evaluate()
+
+
+def _assert_matches_direct(cheb, direct):
+    size = np.max(np.abs(direct.psi))
+    assert np.max(np.abs(cheb.psi - direct.psi)) <= 1e-14 * size
+    assert np.all(cheb.est_error >= 0.99 * direct.est_error)
+    assert abs(np.max(cheb.est_error) / np.max(direct.est_error) - 1.0) <= 0.01
+
+
+@pytest.mark.parametrize(
+    "method, eps, n, delta",
+    [("sd", eps, n, delta) for eps in (0.2, 0.1, 0.05) for n in (1, 2, 3)
+     for delta in (-2.0, -2.7, -3.5)]
+    + [("gamma", 0.125, n, delta) for n in (1, 2) for delta in (-0.5, 0.0, 0.5, 1.0)],
+)
+def test_chebyshev_sum_matches_direct_sum(monkeypatch, method, eps, n, delta):
+    tau = tau_threshold(n) + delta
+    xs = np.linspace(0.0, 1.0 - tau, 200)
+    params = ModelParams(eps=eps, n=n)
+    cheb, direct = _both_ways(
+        monkeypatch, lambda: wfd.mode_inside(params, tau / eps, xs, method=method))
+    _assert_matches_direct(cheb, direct)
+
+
+def test_chebyshev_sum_on_an_exterior_band(monkeypatch):
+    # one band: 60 points spanning exactly _BAND_WIDTH, summed in xi
+    edge = 1.0 - 0.2 * -10.0
+    xs = edge + np.linspace(0.0, wfd._BAND_WIDTH, 60)
+    cheb, direct = _both_ways(monkeypatch, lambda: wfd.mode_outside(P02, -10.0, xs))
+    _assert_matches_direct(cheb, direct)
+
+
+def test_small_and_degenerate_batches_sum_directly(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a small or degenerate batch took the Chebyshev sum")
+
+    few = np.linspace(0.0, 3.0, wfd._CHEB_START + 1)
+    rules, amp_est = wfd._inside_weights(wfd.trace_steepest(1, -2.0, 0.2), 1, -2.0, 0.2)
+    coarse, _ = wfd._matrix_sums(np.sin, few, rules[0], False)
+    fine, scale = wfd._matrix_sums(np.sin, few, rules[1], True)
+    pref = np.exp(-10j) / np.sqrt(0.2 * np.pi)
+    with monkeypatch.context() as m:
+        m.setattr(wfd, "_chebyshev_sum", refuse)
+        out = wfd.mode_inside(P02, -10.0, few)
+        assert np.array_equal(out.psi, pref * fine)
+        assert np.array_equal(out.est_error, abs(pref) * (np.abs(fine - coarse) + amp_est * scale))
+        # a 4-point exterior band, single points, and a batch of one repeated x
+        wfd.mode_outside(P02, -10.0, 3.0 + np.linspace(0.0, 1.5, 4))
+        wfd.mode_outside(P02, -10.0, 3.5)
+        wfd.mode_inside(P02, -10.0, 1.2)
+        same = wfd.mode_inside(P02, -10.0, np.full(40, 1.2))
+        assert np.all(same.psi == same.psi[0])
+
+    # a shuffled batch with repeated x: the sorted batch's values, to rounding
+    # (a row's matrix product may round by its position in the batch)
+    xs = np.linspace(0.0, 3.0, 200)
+    ref = wfd.mode_inside(P02, -10.0, xs)
+    perm = np.random.default_rng(7).permutation(xs.size)
+    perm = np.concatenate([perm, perm[:25]])
+    shuffled = wfd.mode_inside(P02, -10.0, xs[perm])
+    assert np.max(np.abs(shuffled.psi - ref.psi[perm])) <= 1e-15 * np.max(np.abs(ref.psi))
+    np.testing.assert_allclose(shuffled.est_error, ref.est_error[perm], rtol=1e-12)
+
+
+@pytest.mark.parametrize("params, t", [(P02, -10.0), (ModelParams(eps=0.1, n=2), -45.0)])
+def test_chebyshev_sum_work(monkeypatch, params, t):
+    # each rule's basis is evaluated at Chebyshev points only, each point once
+    rows = {}
+    matrix_sums = wfd._matrix_sums
+
+    def counted(fn, coords, rule, scale):
+        rows.setdefault(rule[0].size, []).append(coords)
+        return matrix_sums(fn, coords, rule, scale)
+
+    monkeypatch.setattr(wfd, "_matrix_sums", counted)
+    wfd.mode_inside(params, t, np.linspace(0.0, 1.0 - params.eps * t, 200), method="sd")
+    assert len(rows) == 2  # the 8- and 16-point rules
+    points = np.unique(np.concatenate([c for calls in rows.values() for c in calls]))
+    m_max = points.size - 1
+    assert m_max <= 64
+    for calls in rows.values():
+        assert sum(c.size for c in calls) <= 2 * (m_max + 1)
+
+
+def test_mode_inside_peak_memory():
+    # the basis is (Chebyshev points) x (nodes), not (x points) x (nodes)
+    xs = np.linspace(0.0, 3.0, 20000)
+    tracemalloc.start()
+    try:
+        wfd.mode_inside(P02, -10.0, xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_mode_inside_rejects_outside_points():
