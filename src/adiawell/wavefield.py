@@ -582,11 +582,17 @@ def _cheb_points(lo: float, hi: float, m: int) -> np.ndarray:
 
 
 def _cheb_tail(vals: np.ndarray) -> np.ndarray:
-    """|c_k| for k > 3m/4 of the Chebyshev series through vals at `_cheb_points`."""
+    """|c_k| for k > 3m/4 of the Chebyshev series through vals at `_cheb_points`,
+    by the cosine sums of a DCT-I.  j k is reduced mod 2m first: cos of a rounded
+    argument near m pi would be off by ~m pi eps, far above the tail sought."""
     m = vals.size - 1
-    coeffs = np.abs(np.fft.fft(np.concatenate([vals, vals[-2:0:-1]]))[: m + 1]) / m
-    coeffs[-1] *= 0.5
-    return coeffs[3 * m // 4 + 1:]
+    k = np.arange(3 * m // 4 + 1, m + 1)
+    ends = np.ones(m + 1)
+    ends[[0, -1]] = 0.5
+    cos = np.cos(np.pi / m * (np.multiply.outer(k, np.arange(m + 1)) % (2 * m)))
+    tail = np.abs(cos @ (ends * vals)) * (2.0 / m)
+    tail[-1] *= 0.5
+    return tail
 
 
 def _barycentric(pts: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -610,8 +616,8 @@ def _chebyshev_sum(sums, lo: float, hi: float, rule, limit: int):
 
     A value's rounding is about eps |basis| @ |W|, and the transform to
     coefficients at most doubles it, so the tail is at rounding once it is
-    below 2 eps times the largest scale (Aurentz & Trefethen, ACM TOMS 43
-    (2017) 33, chop a series where its coefficients reach that level).  Each
+    below 2 eps times the largest scale; Aurentz & Trefethen, ACM TOMS 43
+    (2017) 33, chop a series where its coefficients reach rounding.  Each
     doubling sums at the new points only.  Returns (pts, values, scale, tail
     sum), or None once m + 1 would reach limit.
     """

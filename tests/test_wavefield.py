@@ -362,8 +362,9 @@ def _both_ways(monkeypatch, evaluate):
     chebyshev_sum = wfd._chebyshev_sum
 
     def recorded(*args):
-        taken.append(chebyshev_sum(*args) is not None)
-        return taken[-1] and chebyshev_sum(*args)
+        result = chebyshev_sum(*args)
+        taken.append(result is not None)
+        return result
 
     with monkeypatch.context() as m:
         m.setattr(wfd, "_chebyshev_sum", recorded)
