@@ -454,7 +454,7 @@ def test_chebyshev_sum_work(monkeypatch, params, t):
     m_max = points.size - 1
     assert m_max <= 64
     for calls in rows.values():
-        assert sum(c.size for c in calls) <= 2 * (m_max + 1)
+        assert sum(c.size for c in calls) == m_max + 1
 
 
 def test_mode_inside_peak_memory():
