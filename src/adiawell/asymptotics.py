@@ -39,12 +39,12 @@ from .errors import ContinuationFailure
 from .special import a_fn, f_transition, zeta_fn
 from .spectrum import (
     ModelParams,
-    _tilde_slope,
     c_n_phase,
     dlnpn_dtau,
     int_e_n,
     p_n,
     p_n_tilde,
+    phase,
     psi_n,
     tau_threshold,
 )
@@ -151,18 +151,11 @@ def adiabatic_leading(params: ModelParams, x, t: float):
 def _decay_integral(n: int, tau: float, xi: float, pt: complex) -> complex:
     """int_0^xi sqrt(1 - p~_n(tau, xi')^2) dxi' on the Re-positive branch.
 
-    pt is p~_n(tau, xi).  By parts, with r = sqrt(1 - p~^2) and the continued
-    dispersion relation xi p~ / r = -2i [(1 - tau) p~ + arcsin p~ - pi n],
-    the integral is r xi - 2i [H(p~) - H(p_n)], where H(p) = (1 - tau) p^2/2
-    + p arcsin p + sqrt(1 - p^2) - pi n p (principal branches, as in the
-    dispersion relation).
+    pt is p~_n(tau, xi).  Along the saddle S_p = 0, so dS(p~, xi')/dxi' =
+    q0(p~) = i sqrt(1 - p~^2) and the integral is -i [S(p~, xi) - S(p_n, 0)]
+    (`phase`, principal branches, as in the dispersion relation).
     """
-
-    def h(p: complex) -> complex:
-        root = np.sqrt(1.0 - p * p)
-        return 0.5 * (1.0 - tau) * p * p + p * np.arcsin(p) + root - np.pi * n * p
-
-    return complex(np.sqrt(1.0 - pt * pt) * xi - 2j * (h(pt) - h(complex(p_n(n, tau)))))
+    return -1j * (phase(pt, n, tau, xi)[0] - phase(p_n(n, tau), n, tau)[0])
 
 
 def outside_leading(params: ModelParams, x, t: float):
@@ -170,13 +163,14 @@ def outside_leading(params: ModelParams, x, t: float):
 
     At xi = eps*(x - (1 - tau)) the momentum root p~_n(tau, xi) replaces
     p_n; its logarithmic slow-time slope supplies the amplitude and the
-    accumulated sqrt(1 - p~^2) supplies the decay.  Points left of the
-    edge are rejected by the continuation.
+    accumulated sqrt(1 - p~^2) supplies the decay; 2 / S_pp at p~ is that
+    slope.  Points left of the edge are rejected by the continuation, and
+    so is any point at or past the threshold.
     """
     tau = params.eps * t
     n, eps = params.n, params.eps
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    phase = c_n_phase(params) * _dynamical_phase(params, tau)
+    coeff = c_n_phase(params) * _dynamical_phase(params, tau)
     sign = (-1.0) ** (n + 1)
     out = np.empty(x_arr.shape, dtype=complex)
     for i, xv in enumerate(x_arr):
@@ -186,10 +180,10 @@ def outside_leading(params: ModelParams, x, t: float):
                 f"x = {xv} lies inside the well edge 1 - tau = {1.0 - tau}"
             )
         pt = p_n_tilde(n, tau, xi)
-        dln = 1.0 / _tilde_slope(pt, tau, xi)
+        dln = 2.0 / phase(pt, n, tau, xi)[2]
         damp = _decay_integral(n, tau, xi, pt)
         out[i] = (
-            phase
+            coeff
             * np.sqrt(dln)
             * sign
             * pt

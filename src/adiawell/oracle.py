@@ -16,8 +16,8 @@ to solver roundoff, since the discrete Hamiltonian is Hermitian.
 The walk starts from, and is compared against, the contour solution
 evaluated at every grid node, inside the well and past its edge alike.
 Domain truncation is certified by the exterior decay of the field: the
-leading-order outside magnitude is marched until it falls below target,
-and the reported boundary telemetry confirms nothing reached the wall.
+leading-order outside magnitude is marched until it falls below a fixed
+target, and the reported boundary telemetry confirms nothing reached the wall.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ __all__ = [
     "propagate_report",
 ]
 
-# safety margin applied to the truncation target when sizing x_max
+# x_max is sized for an exterior magnitude _SIZE_TARGET, with a safety margin
+_SIZE_TARGET = 1e-10
 _SIZE_MARGIN = 10.0
 
 
@@ -156,14 +157,14 @@ def sample_exact(params: ModelParams, t: float, grid: GridSpec) -> WaveVector:
     return WaveVector(out, t)
 
 
-def suggest_x_max(params: ModelParams, t_final: float, target: float = 1e-10) -> float:
-    """Domain size at which the exterior magnitude stays under target.
+def suggest_x_max(params: ModelParams, t_final: float) -> float:
+    """Domain size at which the exterior magnitude stays under _SIZE_TARGET.
 
     Sized at the final time, where the momentum is closest to the band
     edge and the exterior decay is slowest, with a safety margin.
     """
     x = 1.0 - params.eps * t_final + 2.0
-    while abs(outside_leading(params, x, t_final)) > target / _SIZE_MARGIN:
+    while abs(outside_leading(params, x, t_final)) > _SIZE_TARGET / _SIZE_MARGIN:
         x += 2.0
         if x > 400.0:
             break

@@ -11,13 +11,17 @@ vanishes quadratically: E_n = -(tau_n - tau)**2 * (1 + O(tau_n - tau)); the
 momentum is analytic across tau_n, so no integrable-singularity handling is
 needed anywhere downstream.
 
+The relation is S_p = 0 for the mode integral's phase S(p; n, tau, xi) =
+p^2 (1 - tau) - 2 pi n p + int_0^p l0 + q0(p) xi at xi = 0; `phase` gives S,
+S_p and S_pp, and 2 / S_pp is d ln p / d tau at the saddle.
+
 Everything here is scalar-exact and array-friendly: the dispersion relation is
 solved by Newton's method in theta = arcsin p, where it is increasing and
 concave, so the iterates from theta = 0 rise monotonically to the root; the
 solve is vectorized over slow-time arrays for the adiabatic-phase integrals.
 
 The outside-the-well coordinate is xi = eps * (x - (1 - tau)); the momentum
-continues to complex values there as the root p~_n(tau, xi) of
+continues to complex values there as the saddle p~_n(tau, xi), the root of
 
     (1 - tau) * p + arcsin(p) - i * p * xi / (2 * sqrt(1 - p^2)) = pi * n,
 
@@ -28,6 +32,8 @@ decay).
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +50,7 @@ __all__ = [
     "int_e_n",
     "psi_n",
     "c_n_phase",
+    "phase",
     "p_n_tilde",
 ]
 
@@ -162,32 +169,43 @@ def c_n_phase(params: ModelParams) -> complex:
 
 
 # =====================================================================
-# complex continuation for the outside field
+# the phase of the mode integral, and its saddle continued outside
 # =====================================================================
 
 
-def _tilde_residual(p: complex, n: int, tau: float, xi: float) -> complex:
-    return (1.0 - tau) * p + np.arcsin(p) - 0.5j * p * xi / np.sqrt(1.0 - p * p) - np.pi * n
-
-
-def _tilde_slope(p: complex, tau: float, xi: float) -> complex:
-    """d/dp of the continued dispersion relation; 1/slope is d ln p~ / d tau."""
-    root = np.sqrt(1.0 - p * p)
-    return (1.0 - tau) + 1.0 / root - 0.5j * xi / root**3
+def phase(p: complex, n: int, tau: float, xi: float = 0.0):
+    """(S, S_p, S_pp) at one point p off the cuts, on the principal branches
+    2 asin p and i sqrt(1 - p^2), which are l0 and q0 there (see `branches`);
+    None on a cut or where q0^3 underflows.  S_p / 2 is the residual of the
+    dispersion relation continued to xi."""
+    w = complex(p)
+    q = 1j * cmath.sqrt(1.0 - w * w)
+    if (w.imag == 0.0 and abs(w.real) >= 1.0) or not abs(q) > 1e-100:
+        return None
+    one_m_tau = 1.0 - tau
+    two_pi_n = 2.0 * math.pi * n
+    el = 2.0 * cmath.asin(w)
+    s = w * w * one_m_tau - two_pi_n * w + (w * el - 2j * q - 2.0)
+    s_p = 2.0 * w * one_m_tau - two_pi_n + el
+    s_pp = 2.0 * one_m_tau + 2j / q
+    if xi != 0.0:
+        s += q * xi
+        s_p += xi * w / q
+        s_pp -= xi / (q * q * q)  # q**3 would raise OverflowError, not give inf
+    return s, s_p, s_pp
 
 
 def p_n_tilde(n: int, tau: float, xi: float) -> complex:
     """Momentum continued to the outside coordinate xi >= 0.
 
-    Newton continuation in xi from the real root p_n(tau); the step is halved
-    until every Newton solve converges.  The root must stay in the closed
-    first quadrant with Re sqrt(1 - p~^2) > 0, else ContinuationFailure.
+    Newton continuation in xi from the real root p_n(tau), on S_p = 0 with
+    slope S_pp (`phase`); the step is halved until every Newton solve
+    converges.  The root must stay in the closed first quadrant with
+    Re sqrt(1 - p~^2) > 0, else ContinuationFailure (so p_n = 1 fails).
     """
     if xi < 0.0:
         raise ContinuationFailure("xi must be >= 0 (outside the well)")
     p = complex(p_n(n, tau))
-    if xi == 0.0:
-        return p
     done = 0.0
     step = max(xi / 8.0, min(xi, 0.25))
     while done < xi:
@@ -195,12 +213,15 @@ def p_n_tilde(n: int, tau: float, xi: float) -> complex:
         trial = p
         ok = False
         for _ in range(50):
-            f = _tilde_residual(trial, n, tau, target)
-            if abs(f) < _NEWTON_TOL:
+            ev = phase(trial, n, tau, target)
+            if ev is None:
+                break
+            _, s_p, s_pp = ev
+            if abs(s_p) < 2.0 * _NEWTON_TOL:
                 ok = True
                 break
-            trial = trial - f / _tilde_slope(trial, tau, target)
-            if not (np.isfinite(trial.real) and np.isfinite(trial.imag)):
+            trial = trial - s_p / s_pp
+            if not cmath.isfinite(trial):
                 break
         if ok and trial.real > 0.0 and trial.imag > -1e-12:
             p, done = trial, target

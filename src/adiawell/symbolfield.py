@@ -210,6 +210,7 @@ def _estimate_l_error(p, eps: float) -> float:
 # at Gauss nodes stays well conditioned at 16 nodes, where the monomial one
 # loses four digits.
 _LEG_COEF = np.linalg.inv(legvander(gl_rule(16)[0], 15))
+_LEG_INT = legint(np.eye(16), lbnd=-1)  # column k: int_{-1}^u P_k, in Legendre terms
 
 # amplitude_along's targets: the 8- then the 16-point nodes of a segment
 _TARGETS = np.concatenate([gl_rule(8)[0], gl_rule(16)[0]])
@@ -217,7 +218,7 @@ _TARGETS = np.concatenate([gl_rule(8)[0], gl_rule(16)[0]])
 
 def _partial_integral_matrix(targets: np.ndarray) -> np.ndarray:
     """B[j, m] = int_{-1}^{targets[j]} of the m-th Lagrange basis polynomial."""
-    return legvander(targets, 16) @ legint(np.eye(16), lbnd=-1) @ _LEG_COEF
+    return legvander(targets, 16) @ _LEG_INT @ _LEG_COEF
 
 
 def _g_values(q: np.ndarray, eps: float, side) -> np.ndarray:

@@ -11,7 +11,8 @@ tau = eps*t) each solution is a contour integral in the spectral variable,
     S(p, tau) = p^2 (1 - tau) - 2 pi n p + int_0^p l0(q) dq,
 
 where A is the smoothed-symbol amplitude of `symbolfield` and l0 the branch
-function of `branches`.  Outside the well, with xi = eps*(x - (1 - tau)),
+function of `branches`; `spectrum.phase` gives S at one point, `action` on
+arrays and on the cuts.  Outside the well, with xi = eps*(x - (1 - tau)),
 
     Psi_n = (-1)^{n+1} e^{it - i xi/2 - i eps (1-tau)/4} / sqrt(eps*pi)
             * int_C At(p) p e^{i St(p,tau,xi)/eps} dp,
@@ -55,8 +56,9 @@ Three interchangeable evaluation contours are provided.
 The automatic dispatch uses ``gamma`` once tau_n - tau <= 2 eps^{1/3} (the
 saddle enters the eps^{1/3} collision neighbourhood of p = 1, where the
 descent geometry degenerates), capped at 0.6, and while the hook's vertical
-leg can reach the decay level (at larger eps and n it cannot over part of
-that window); ``sd`` otherwise.
+leg can reach the decay level, decided by one evaluation of S at the leg's
+full depth (at larger eps and n it cannot over part of that window); ``sd``
+otherwise.
 
 The lattice sum behind the integral
 -----------------------------------
@@ -92,6 +94,7 @@ from .spectrum import (
     int_e_n,
     p_n,
     p_n_tilde,
+    phase,
     tau_threshold,
 )
 from .symbolfield import (
@@ -171,28 +174,17 @@ def action(p, n: int, tau: float, xi: float = 0.0, side=0) -> ActionEval:
     p~_n(tau, xi) (outside); d2 = 2(1-tau) + 2i/q0 - xi/q0^3 is the sweep
     rate that sets the steepest-descent step size.
 
-    An untagged scalar p off the cuts takes a `cmath` path: there the
-    principal branches 2 asin(p) and i sqrt(1 - p^2) are l0 and q0 (see
-    `branches`).  Arrays, side tags, points on a cut or at a tip, and points
-    so near a tip that q0^3 underflows to 0 go through the `branches`
+    An untagged scalar p off the cuts is `spectrum.phase`, on principal
+    branches.  Arrays, side tags, points on a cut or at a tip, and points so
+    near a tip that q0^3 underflows to 0 go through the `branches`
     functions.
     """
+    if np.ndim(p) == 0 and np.ndim(side) == 0 and side == 0:
+        ev = phase(p, n, tau, xi)
+        if ev is not None:
+            return ActionEval(*ev)
     one_m_tau = 1.0 - tau
     two_pi_n = 2.0 * np.pi * n
-    if np.ndim(p) == 0 and np.ndim(side) == 0 and side == 0:
-        w = complex(p)
-        q = 1j * cmath.sqrt(1.0 - w * w)
-        # off the cuts, and not so near a tip that q0^3 underflows
-        if (w.imag != 0.0 or abs(w.real) < 1.0) and abs(q) > 1e-100:
-            el = 2.0 * cmath.asin(w)
-            s = w * w * one_m_tau - two_pi_n * w + (w * el - 2j * q - 2.0)
-            d1 = 2.0 * w * one_m_tau - two_pi_n + el
-            d2 = 2.0 * one_m_tau + 2j / q
-            if xi != 0.0:
-                s += q * xi
-                d1 += xi * w / q
-                d2 -= xi / q**3
-            return ActionEval(s, d1, d2)
     z = np.asarray(p, dtype=complex)
     s = z * z * one_m_tau - two_pi_n * z + int_l0(z, side)
     d1 = 2.0 * z * one_m_tau - two_pi_n + l0(z, side)
@@ -266,7 +258,7 @@ def trace_steepest(
     like the original line contour, from the lower-left end to the
     upper-right end, saddle in the middle.
 
-    The steps run on scalar `action` calls, which take its `cmath` path off
+    The steps run on scalar `action` calls, which are `spectrum.phase` off
     the cuts.  Each branch's polyline, saddle first, is checked against the
     cuts once it is traced; one that meets a cut raises TraceDiverged.
     """
@@ -317,7 +309,7 @@ def trace_steepest(
     return np.array(minus[::-1] + [p0] + plus, dtype=complex)
 
 
-def _ray_vertices(n: int, tau: float, eps: float, level: float = _DECAY_LEVEL) -> np.ndarray:
+def _ray_vertices(n: int, tau: float, eps: float) -> np.ndarray:
     """Vertices along the fixed line e^{i pi/4} R, truncated by Im S."""
     direction = np.exp(1j * _RAY_ANGLE)
     sides: list[list[complex]] = []
@@ -326,7 +318,7 @@ def _ray_vertices(n: int, tau: float, eps: float, level: float = _DECAY_LEVEL) -
         s = 0.0
         while True:
             ev = action(sgn * direction * max(s, 1e-9), n, tau)
-            if ev.value.imag >= level * eps:
+            if ev.value.imag >= _DECAY_LEVEL * eps:
                 pts.append(sgn * direction * s)
                 break
             if s > _TRACE_RADIUS:
@@ -419,28 +411,24 @@ def _hook_tables(eps: float) -> dict:
     }
 
 
-def _minus_depth(n: int, tau: float, eps: float) -> float:
-    """Depth of the vertical leg needed at (n, tau).
-
-    Probes the net exponent Im S / eps - (1 - tau) y on a coarse grid (the
-    basis sine grows like e^{(1 - tau) y} at the well edge, so raw Im S
-    overstates the decay) and returns the first depth where it clears the
-    working level with margin.  Raises when even the master depth cannot,
-    which happens when the saddle sits too far below threshold for the hook
-    to be a sensible contour.
+def _leg_phase(n: int, tau: float, eps: float, y: float) -> tuple[float, float]:
+    """(|Im S_p| / eps, N) at depth y > 0 of the vertical leg p = 1 - iy: the local
+    frequency of e^{iS/eps} and the net exponent N = Im S / eps - (1 - tau) y (the
+    basis sine grows like e^{(1 - tau) y} at the well edge).  N is convex: its slope
+    (2 pi n - 2(1 - tau) - 2 Re asin(1 - iy)) / eps - (1 - tau) grows as Re asin falls.
     """
-    one_m_tau = 1.0 - tau
-    ys = np.geomspace(1e-4, _MINUS_DEPTH, 400)
-    p = 1.0 - 1j * ys
-    s = p**2 * one_m_tau - 2.0 * np.pi * n * p + np.asarray(int_l0(p))
-    net = s.imag / eps - one_m_tau * ys
-    past = np.nonzero(net >= _DECAY_LEVEL + 14.0)[0]
-    if past.size == 0:
-        raise TruncationTooSmall(_LEG_TOO_SHORT)
-    return float(ys[past[0]])
+    s, s_p, _ = phase(complex(1.0, -y), n, tau)
+    return abs(s_p.imag) / eps, s.imag / eps - (1.0 - tau) * y
 
 
-def _minus_panels(n: int, tau: float, eps: float, depth: float) -> np.ndarray:
+def _leg_too_short(n: int, tau: float, eps: float) -> bool:
+    """Whether N misses the decay level + 14 at _MINUS_DEPTH, where the leg's
+    table ends and, N being convex, largest: the saddle is too far below
+    threshold for the hook."""
+    return _leg_phase(n, tau, eps, _MINUS_DEPTH)[1] < _DECAY_LEVEL + 14.0
+
+
+def _minus_panels(n: int, tau: float, eps: float) -> np.ndarray:
     """Panel boundaries on the vertical leg, sized for the phase.
 
     The tip panel [0, eps/4] holds the 3/2-power cusp of the action at the
@@ -450,22 +438,21 @@ def _minus_panels(n: int, tau: float, eps: float, depth: float) -> np.ndarray:
     p^2 (1 - tau) / eps oscillates with local frequency |Im S_p| / eps, which
     grows linearly in depth, so panel widths shrink to keep the phase swing
     per panel around _PANEL_PHASE radians (comfortable for an 8-point rule).
+    The walk ends at the first panel end where the net exponent N reaches
+    the decay level + 10 (nodes past it contribute below 5e-20), or at
+    _MINUS_DEPTH; a leg too short to reach the level raises.
     """
-    one_m_tau = 1.0 - tau
-    two_pi_n = 2.0 * np.pi * n
-
-    def freq(y: float) -> float:
-        # |Im S_p(1 - iy)| / eps, with S_p = 2p(1 - tau) - 2 pi n + 2 asin(p),
-        # inline: scalar action() calls made this loop three to five times slower
-        p = complex(1.0, -y)
-        return abs((2.0 * p * one_m_tau - two_pi_n + 2.0 * cmath.asin(p)).imag) / eps
-
-    bounds = [0.0, min(0.25 * eps, depth)]
-    while bounds[-1] < depth:
+    if _leg_too_short(n, tau, eps):
+        raise TruncationTooSmall(_LEG_TOO_SHORT)
+    bounds = [0.0, 0.25 * eps]
+    while bounds[-1] < _MINUS_DEPTH:
         y = bounds[-1]
-        h = min(0.6 * y, _PANEL_PHASE / (freq(y) + 1e-3), 0.5)
-        h = min(0.6 * y, _PANEL_PHASE / (freq(y + h) + 1e-3), 0.5)
-        bounds.append(min(y + h, depth))
+        freq, net = _leg_phase(n, tau, eps, y)
+        if net >= _DECAY_LEVEL + 10.0:
+            break
+        h = min(0.6 * y, _PANEL_PHASE / (freq + 1e-3), 0.5)
+        h = min(0.6 * y, _PANEL_PHASE / (_leg_phase(n, tau, eps, y + h)[0] + 1e-3), 0.5)
+        bounds.append(min(y + h, _MINUS_DEPTH))
     return np.array(bounds)
 
 
@@ -482,13 +469,13 @@ def _gamma_weights(n: int, tau: float, eps: float) -> tuple[list[tuple], float]:
     """Hook weights W_j at (n, tau) for the 8- and 16-point rules, each rule a leg
     block (depths y_j of p_j = 1 - i y_j, W_j) and an edge block (p_j >= 1, W_j).
 
-    On the vertical leg |sin(px)| grows like e^{xy}, so truncation is
-    decided by the net exponent Im S / eps - (1 - tau) y, not by Im S
-    alone; nodes past net decay level + 10 contribute below 5e-20 and are
-    dropped.  The leg ends by _MINUS_DEPTH, so x y <= 12 (1 - tau): e^{xy} stays
-    finite while 1 - tau < 59 (at n <= 3 x y reaches 86, at eps 0.2, tau_3).
+    On the vertical leg |sin(px)| grows like e^{xy}, so the leg ends where
+    the net exponent Im S / eps - (1 - tau) y has cleared the decay level
+    (`_minus_panels`), by _MINUS_DEPTH at the latest.  So x y <= 12 (1 - tau):
+    e^{xy} stays finite while 1 - tau < 59 (at n <= 3 x y reaches 86, at
+    eps 0.2, tau_3).
     """
-    edges = _minus_panels(n, tau, eps, _minus_depth(n, tau, eps))
+    edges = _minus_panels(n, tau, eps)
     one_m_tau = 1.0 - tau
     two_pi_n = 2.0 * np.pi * n
     tables = _hook_tables(eps)
@@ -497,18 +484,13 @@ def _gamma_weights(n: int, tau: float, eps: float) -> tuple[list[tuple], float]:
         ys, w = (a.ravel() for a in cusp_panels(edges, rule, at_start=True))
         p_m = 1.0 - 1j * ys
         s_minus = p_m**2 * one_m_tau - two_pi_n * p_m + np.asarray(int_l0(p_m))
-        net = s_minus.imag / eps - one_m_tau * ys
-        live = net < _DECAY_LEVEL + 10.0
-        if live[-1]:
-            raise TruncationTooSmall(_LEG_TOO_SHORT)
-        keep = int(np.nonzero(live)[0].max()) + 2 if np.any(live) else 1
-        amp = np.exp(tables["ln_one"] + _leg_ln_amplitude(eps, ys[:keep]))
-        w_minus = 1j * w[:keep] * amp * np.exp(1j * s_minus[:keep] / eps)
+        amp = np.exp(tables["ln_one"] + _leg_ln_amplitude(eps, ys))
+        w_minus = 1j * w * amp * np.exp(1j * s_minus / eps)
 
         plus = tables["edge"][rule]
         s_plus = plus["xs"] ** 2 * one_m_tau - two_pi_n * plus["xs"] + plus["il"]
         w_plus = plus["wa"] * np.exp(1j * s_plus / eps)
-        rules.append(((ys[:keep], w_minus), (plus["xs"], w_plus)))
+        rules.append(((ys, w_minus), (plus["xs"], w_plus)))
     return rules, tables["leg_est"] + _LADDER_EST
 
 
@@ -530,14 +512,10 @@ class FieldSample:
 
 def _pick_inside_method(n: int, tau: float, eps: float) -> str:
     """The hook within its window below threshold, where its leg can reach the
-    decay level (`_minus_depth`); descent otherwise."""
+    decay level (`_leg_too_short`); descent otherwise."""
     delta = tau_threshold(n) - tau
     window = min(_GAMMA_SWITCH * eps ** (1.0 / 3.0), _GAMMA_CAP)
-    if delta > window:
-        return "sd"
-    try:
-        _minus_depth(n, tau, eps)
-    except TruncationTooSmall:
+    if delta > window or _leg_too_short(n, tau, eps):
         return "sd"
     return "gamma"
 
@@ -618,8 +596,9 @@ def _chebyshev_sum(sums, lo: float, hi: float, rule, limit: int):
     coefficients at most doubles it, so the tail is at rounding once it is
     below 2 eps times the largest scale; Aurentz & Trefethen, ACM TOMS 43
     (2017) 33, chop a series where its coefficients reach rounding.  Each
-    doubling sums at the new points only.  Returns (pts, values, scale, tail
-    sum), or None once m + 1 would reach limit.
+    doubling sums at its m / 2 new points only, so it goes on while they
+    number fewer than limit, the batch size (m < 2 limit).  Returns (pts,
+    values, scale, tail sum), or None once the new points would reach limit.
     """
     m = _CHEB_START
     pts = _cheb_points(lo, hi, m)
@@ -629,7 +608,7 @@ def _chebyshev_sum(sums, lo: float, hi: float, rule, limit: int):
         if tail.max() <= 2.0 * np.finfo(float).eps * scale.max():
             return pts, vals, scale, tail.sum()
         m *= 2
-        if m + 1 >= limit:
+        if m >= 2 * limit:
             return None
         pts = _cheb_points(lo, hi, m)
         new_vals, new_scale = sums(pts[1::2], rule, True)
@@ -780,7 +759,7 @@ def mode_outside(params: ModelParams, t: float, x) -> FieldSample:
     return FieldSample(x_arr, float(t), vals, ests, "sd-outside")
 
 
-def mode_solution(params: ModelParams, t: float, x, method: str = "auto") -> FieldSample:
+def mode_solution(params: ModelParams, t: float, x) -> FieldSample:
     """Psi_n(x, t) on the whole half-line; splits the batch at the edge."""
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     edge = 1.0 - params.eps * t
@@ -789,7 +768,7 @@ def mode_solution(params: ModelParams, t: float, x, method: str = "auto") -> Fie
     est = np.empty(x_arr.shape, dtype=float)
     labels = []
     if np.any(inside):
-        s_in = mode_inside(params, t, x_arr[inside], method=method)
+        s_in = mode_inside(params, t, x_arr[inside])
         psi[inside], est[inside] = s_in.psi, s_in.est_error
         labels.append(s_in.method)
     if np.any(~inside):

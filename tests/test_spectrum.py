@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from adiawell.errors import ContinuationFailure, NoEigenvalue
@@ -15,9 +17,11 @@ from adiawell.spectrum import (
     int_e_n,
     p_n,
     p_n_tilde,
+    phase,
     psi_n,
     tau_threshold,
 )
+from adiawell.wavefield import action
 
 RNG = np.random.default_rng(11)
 
@@ -149,6 +153,9 @@ def test_p_n_tilde_limits_and_branch():
         assert np.sqrt(1.0 - pt * pt).real > 0.0  # decaying branch
     with pytest.raises(ContinuationFailure):
         p_n_tilde(1, -2.0, -1.0)
+    # at the threshold p_n = 1, where sqrt(1 - p^2) = 0: no decaying branch
+    with pytest.raises(ContinuationFailure):
+        p_n_tilde(1, tau_threshold(1), 0.0)
 
 
 def test_p_n_tilde_continuous_in_xi():
@@ -162,3 +169,28 @@ def test_params_validation_and_point():
         ModelParams(eps=1.5, n=1)
     with pytest.raises(ValueError):
         ModelParams(eps=0.1, n=0)
+
+
+# ---------------------------------------------------------------------
+# the phase S and its saddle
+# ---------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.integers(1, 3),
+    st.floats(-10.0, 0.9), st.floats(0.0, 5.0),
+)
+def test_phase_matches_action_array_path(re, im, n, tau, xi):
+    # off the cuts, principal branches against the branches functions
+    ev = phase(complex(re, im), n, tau, xi)
+    assume(ev is not None)
+    ref = action(np.array([complex(re, im)]), n, tau, xi=xi)
+    for got, want in zip(ev, (ref.value[0], ref.d1[0], ref.d2[0])):
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_phase_refuses_cuts_and_tips():
+    for p in (1.0, -1.0, 1.5, -2.0, 1.0 + 1e-300j):  # 1 + 1e-300i: q0^3 underflows
+        assert phase(p, 1, -2.0, 0.5) is None
+    assert phase(1.0 + 1e-9j, 1, -2.0, 0.5) is not None

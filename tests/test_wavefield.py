@@ -13,6 +13,7 @@ normalization and phase conventions against accidental sign drift.
 from __future__ import annotations
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,13 @@ from adiawell import wavefield as wfd
 from adiawell._panels import gl_rule
 from adiawell.branches import int_l0, l0
 from adiawell.cli import run
-from adiawell.errors import BranchViolation, ContourClash, TraceDiverged, TruncationTooSmall
+from adiawell.errors import (
+    BranchViolation,
+    ContinuationFailure,
+    ContourClash,
+    TraceDiverged,
+    TruncationTooSmall,
+)
 from adiawell.spectrum import ModelParams, p_n, p_n_tilde, tau_threshold
 
 P02 = ModelParams(eps=0.2, n=1)
@@ -292,27 +299,75 @@ def test_hook_sum_matches_complex_sine_basis(eps, n):
         assert np.all(est >= 0.99 * est_ref)
 
 
+def _leg_by_action(n, tau, eps, y):
+    # |Im S_p| / eps and the net exponent N = Im S / eps - (1 - tau) y at the leg
+    # point 1 - iy, on action's array path (the branches functions)
+    ev = wfd.action(np.array([1.0 - 1j * y]), n, tau)
+    return abs(ev.d1[0].imag) / eps, ev.value[0].imag / eps - (1.0 - tau) * y
+
+
 @pytest.mark.parametrize(
     "n, tau", [(1, tau_threshold(1) - 0.2), (2, tau_threshold(2)), (3, tau_threshold(3) + 0.5)]
 )
 def test_vertical_leg_panels_match_action_form(n, tau):
-    # the panel rule's frequency |Im S_p(1 - iy)| / eps, taken from action()
+    # one tip panel of eps/4, then _PANEL_PHASE radians of e^{iS/eps} per panel,
+    # until a panel end reaches N >= decay level + 10
     eps = 0.1
-    depth = wfd._minus_depth(n, tau, eps)
-
-    def freq(y):
-        return abs(complex(wfd.action(1.0 - 1j * y, n, tau).d1).imag) / eps
-
-    # one tip panel of eps/4, then _PANEL_PHASE radians of e^{iS/eps} per panel
-    bounds = [0.0, min(0.25 * eps, depth)]
-    while bounds[-1] < depth:
+    level = wfd._DECAY_LEVEL + 10.0
+    bounds = [0.0, 0.25 * eps]
+    while bounds[-1] < wfd._MINUS_DEPTH:
         y = bounds[-1]
-        h = min(0.6 * y, wfd._PANEL_PHASE / (freq(y) + 1e-3), 0.5)
-        h = min(0.6 * y, wfd._PANEL_PHASE / (freq(y + h) + 1e-3), 0.5)
-        bounds.append(min(y + h, depth))
-    panels = wfd._minus_panels(n, tau, eps, depth)
+        freq, net = _leg_by_action(n, tau, eps, y)
+        if net >= level:
+            break
+        h = min(0.6 * y, wfd._PANEL_PHASE / (freq + 1e-3), 0.5)
+        h = min(0.6 * y, wfd._PANEL_PHASE / (_leg_by_action(n, tau, eps, y + h)[0] + 1e-3), 0.5)
+        bounds.append(min(y + h, wfd._MINUS_DEPTH))
+    panels = wfd._minus_panels(n, tau, eps)
     assert panels.size == len(bounds)
     assert np.max(np.abs(panels - np.array(bounds))) <= 1e-15
+    # the level is reached at the last panel end, before the leg's table ends
+    nets = [_leg_by_action(n, tau, eps, y)[1] for y in panels[1:]]
+    assert max(nets[:-1]) < level <= nets[-1]
+    assert panels[-1] < wfd._MINUS_DEPTH
+
+
+def _probe_reaches(n, tau, eps):
+    # the 400-point probe that sized the leg before the one-point check
+    ys = np.geomspace(1e-4, wfd._MINUS_DEPTH, 400)
+    p = 1.0 - 1j * ys
+    s = p**2 * (1.0 - tau) - 2.0 * np.pi * n * p + np.asarray(int_l0(p))
+    return bool(np.any(s.imag / eps - (1.0 - tau) * ys >= wfd._DECAY_LEVEL + 14.0))
+
+
+def test_leg_net_exponent_is_convex():
+    # N(y) = Im S(1 - iy) / eps - (1 - tau) y has slope (2 pi n - 2 (1 - tau)
+    # - 2 Re asin(1 - iy)) / eps - (1 - tau), rising as Re asin(1 - iy) falls
+    ys = np.linspace(1e-3, wfd._MINUS_DEPTH, 3000)
+    assert np.all(np.diff(np.arcsin(1.0 - 1j * ys).real) < 0.0)
+    for eps in (0.2, 0.05):
+        for n in (1, 3):
+            for delta in (-0.6, 0.0, 1.0):
+                tau = tau_threshold(n) + delta
+                ev = wfd.action(1.0 - 1j * ys, n, tau)
+                net = ev.value.imag / eps - (1.0 - tau) * ys
+                assert np.all(np.diff(net, 2) > 0.0)
+                # dS/dy = -i S_p on the leg
+                slope = (2.0 * np.pi * n - 2.0 * (1.0 - tau)
+                         - 2.0 * np.arcsin(1.0 - 1j * ys).real) / eps - (1.0 - tau)
+                np.testing.assert_allclose(
+                    slope, -ev.d1.real / eps - (1.0 - tau), rtol=1e-12, atol=1e-9)
+
+
+def test_one_point_leg_check_matches_the_probe():
+    # by convexity N is largest at _MINUS_DEPTH, where the probe ended: the one
+    # evaluation there decides as the 400 points did, across each hook window
+    for eps in (0.2, 0.15, 0.125, 0.1, 0.07, 0.05):
+        window = min(wfd._GAMMA_SWITCH * eps ** (1.0 / 3.0), wfd._GAMMA_CAP)
+        for n in (1, 2, 3):
+            for delta in np.linspace(0.0, window, 61):
+                tau = tau_threshold(n) - delta
+                assert wfd._leg_too_short(n, tau, eps) is not _probe_reaches(n, tau, eps)
 
 
 @pytest.mark.parametrize("eps", [0.2, 0.125, 0.05])
@@ -437,9 +492,15 @@ def test_small_and_degenerate_batches_sum_directly(monkeypatch):
     np.testing.assert_allclose(shuffled.est_error, ref.est_error[perm], rtol=1e-12)
 
 
-@pytest.mark.parametrize("params, t", [(P02, -10.0), (ModelParams(eps=0.1, n=2), -45.0)])
-def test_chebyshev_sum_work(monkeypatch, params, t):
-    # each rule's basis is evaluated at Chebyshev points only, each point once
+@pytest.mark.parametrize(
+    "params, t, count",
+    [(P02, -10.0, 200), (ModelParams(eps=0.1, n=2), -45.0, 200),
+     (ModelParams(eps=0.1, n=2), -45.0, 30)],
+    ids=["params0--10.0", "params1--45.0", "params1--45.0-30"],
+)
+def test_chebyshev_sum_work(monkeypatch, params, t, count):
+    # each rule's basis is evaluated at Chebyshev points only, each point once;
+    # 30 points need degree 48, whose 24 new points still undercut the batch
     rows = {}
     matrix_sums = wfd._matrix_sums
 
@@ -447,14 +508,18 @@ def test_chebyshev_sum_work(monkeypatch, params, t):
         rows.setdefault(rule[0].size, []).append(coords)
         return matrix_sums(fn, coords, rule, scale)
 
-    monkeypatch.setattr(wfd, "_matrix_sums", counted)
-    wfd.mode_inside(params, t, np.linspace(0.0, 1.0 - params.eps * t, 200), method="sd")
+    xs = np.linspace(0.0, 1.0 - params.eps * t, count)
+    with monkeypatch.context() as m:
+        m.setattr(wfd, "_matrix_sums", counted)
+        wfd.mode_inside(params, t, xs, method="sd")
     assert len(rows) == 2  # the 8- and 16-point rules
     points = np.unique(np.concatenate([c for calls in rows.values() for c in calls]))
     m_max = points.size - 1
     assert m_max <= 64
     for calls in rows.values():
         assert sum(c.size for c in calls) == m_max + 1
+    _assert_matches_direct(*_both_ways(
+        monkeypatch, lambda: wfd.mode_inside(params, t, xs, method="sd")))
 
 
 def test_mode_inside_peak_memory():
@@ -467,6 +532,16 @@ def test_mode_inside_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def test_mode_outside_at_threshold_refuses_without_warnings():
+    # at tau_1 the continuation starts at the branch point p = 1, where q0 = 0
+    t = tau_threshold(1) / 0.1
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(ContinuationFailure, match="Newton continuation stalled"):
+            wfd.mode_outside(P01, t, np.array([2.6, 3.0]))
+    assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
 
 
 def test_mode_inside_rejects_outside_points():
