@@ -14,12 +14,14 @@ real cuts, and the amplitude A(p) = exp((i/eps) int_0^p (L0 - l0)).
 
 Evaluation strategy
 -------------------
-* Straight vertical kernel contour whenever it stays clear of the cuts:
-  one fixed pole-corrected trapezoid ladder (step h = 0.2, 61 nodes up to
-  |s| = 6).  Within the kernel's reach the integrand is meromorphic in the
-  strip |Im s| < 1: its only poles there are the kernel's double poles at
-  s = +-i/2, where l0 takes the values l0(p -+ eps/2), and the branch-point
-  preimages sit at vertical distance (1 - |Re p|)/eps >= 1.  The trapezoid
+* Straight vertical kernel contour at anchors within 6 eps of the cuts, or
+  side-tagged, whose contour stays clear of the cuts: one fixed
+  pole-corrected trapezoid ladder (step h = 0.2, 61 nodes up to |s| = 6),
+  which also gives l0 at the anchor (its node s = 0).  Within the kernel's
+  reach the integrand is meromorphic in the strip |Im s| < 1: its only
+  poles there are the kernel's double poles at s = +-i/2, where l0 takes
+  the values l0(p -+ eps/2), and the branch-point preimages sit at
+  vertical distance (1 - |Re p|)/eps >= 1.  The trapezoid
   rule's error from the poles is a closed form in exp(-pi/h) and l0, l0' at
   p -+ eps/2 (Trefethen and Weideman, The exponentially convergent
   trapezoidal rule, SIAM Rev. 56 (2014) 385), which the ladder subtracts.
@@ -38,8 +40,22 @@ Evaluation strategy
   placing the kernel anchor near Re p = +-0.5 where the straight ladder is
   valid.  This is an identity, not an approximation: every strip
   [Re p - eps, Re p] it steps across is free of cuts, and no clearance
-  tuning or pole dodging is needed.  So every L0 value is one ladder sum at
-  its anchor plus the relocation sum.
+  tuning or pole dodging is needed.
+* At anchors q at least 6 eps from the cuts (and untagged), the kernel
+  integral of the Taylor expansion of l0 about q replaces the ladder:
+
+      L0 - l0 = sum_{k=1..10} (-1)^k eps^2k mu_2k/(2k)! l0^(2k)(q),
+
+  with mu_2k = (1 - 2^(1-2k)) |B_2k| the even moments of the kernel
+  (mu_2 = 1/12, mu_4 = 7/240) and l0^(m) = P_m(q) (1 - q^2)^(-(2m-1)/2)
+  for fixed polynomials P_m, folded at import into one polynomial in
+  1/(1 - q^2) per power of eps.  The series is asymptotic; at distance d
+  from the cuts its error is about exp(-2 pi d/eps) (Trefethen and
+  Weideman, as above), 4e-17 at the switch, and ten terms truncate below
+  rounding there.  It gives L0 - l0 directly, so the amplitude's
+  integrand (i/eps)(L0 - l0) carries no cancellation of two O(1) numbers.
+  So every L0 value is the series or one ladder sum at its anchor, plus
+  the relocation sum.
 * Every path integral of g = (i/eps)(L0 - l0) is one kernel sweep of the
   16-point rule along a polyline: its weights give ln A at the vertices, and
   partial integrals of the degree-15 interpolant of g give it anywhere inside
@@ -63,10 +79,12 @@ an honest error estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb, factorial
 from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import legint, legvander
+from numpy.polynomial.polynomial import polyval
 
 from ._panels import gl_panels, gl_rule
 from .branches import _l0_raw, _q0_raw, int_l0, l0, l0_prime, rho0
@@ -122,6 +140,55 @@ _LADDER_EST = 2e-11
 # 0.5 MB, so a sweep's working set stays a few MB however many anchors it has
 _ANCHOR_BLOCK = 512
 
+# ---------------------------------------------------------------------
+# moment series constants
+# ---------------------------------------------------------------------
+
+# untagged anchors this many eps clear of the cuts take the moment series,
+# whose error there is about exp(-2 pi * 6) = 4e-17 besides truncation
+_SERIES_D = 6.0
+_SERIES_TERMS = 10    # eight terms left 3.7e-15 at the switch distance
+# |B_2k| for k = 1..10 as (numerator, denominator)
+_BERNOULLI = [(1, 6), (1, 30), (1, 42), (1, 30), (5, 66), (691, 2730), (7, 6),
+              (3617, 510), (43867, 798), (174611, 330)]
+
+
+def _series_table(terms: int) -> np.ndarray:
+    """Column k - 1: term k of the moment series as a polynomial in z = 1/(1 - q^2).
+
+    Term k is (-1)^k eps^2k mu_2k/(2k)! l0^(2k)(q), with mu_2k = (1 - 2^(1-2k))
+    |B_2k| the moments of (pi/2) sech^2(pi s) and l0^(m) = P_m(q) (1 -
+    q^2)^(-(2m-1)/2), P_1 = 2, P_{m+1} = (1 - q^2) P_m' + (2m - 1) q P_m.
+    P_2k is odd, and q^(2j+1) = q (1 - 1/z)^j, so term k divided by
+    eps^2k q sqrt(1 - q^2) is a polynomial in z (powers k + 1 to 2k).  The
+    integer algebra is exact; each entry is rounded once.
+    """
+    table = np.zeros((2 * terms + 1, terms))
+    poly = [2]  # P_m by powers of q
+    for m in range(1, 2 * terms):
+        nxt = [0] * (len(poly) + 1)
+        for i, c in enumerate(poly):
+            nxt[i + 1] += (2 * m - 1) * c
+            if i:
+                nxt[i - 1] += i * c
+                nxt[i + 1] -= i * c
+        poly = nxt
+        if m % 2:
+            k = (m + 1) // 2
+            num, den = _BERNOULLI[k - 1]
+            half = 2 ** (2 * k - 1)
+            by_z = [0] * (2 * terms + 1)
+            for j, c in enumerate(poly[1::2]):
+                for l in range(j + 1):
+                    by_z[2 * k - l] += (-1) ** l * comb(j, l) * c
+            scale = den * half * factorial(2 * k)
+            for n, c in enumerate(by_z):
+                table[n, k - 1] = (-1) ** k * c * num * (half - 1) / scale
+    return table
+
+
+_SERIES_TABLE = _series_table(_SERIES_TERMS)
+
 
 @dataclass(frozen=True)
 class QuadratureReport:
@@ -136,10 +203,14 @@ class QuadratureReport:
 # =====================================================================
 
 
-def _kernel_straight(z: np.ndarray, eps: float, side) -> np.ndarray:
-    """Pole-corrected trapezoid ladder at anchors whose vertical contour clears the cuts."""
+def _kernel_straight(z: np.ndarray, eps: float, side) -> tuple[np.ndarray, np.ndarray]:
+    """Pole-corrected trapezoid ladder at anchors whose vertical contour clears the cuts.
+
+    Returns L0 and l0 at the anchors; l0 is the ladder's node s = 0.
+    """
     side_arr = np.broadcast_to(np.asarray(side), z.shape)
     out = np.empty(z.shape, dtype=complex)
+    centre = np.empty(z.shape, dtype=complex)
     for lo in range(0, z.size, _ANCHOR_BLOCK):
         block = slice(lo, lo + _ANCHOR_BLOCK)
         args = z[block, None] + 1j * eps * _S_COLUMNS[None, :]
@@ -147,7 +218,22 @@ def _kernel_straight(z: np.ndarray, eps: float, side) -> np.ndarray:
         # l0' = 2i / q0 at the poles' images q -+ eps/2
         slopes = 2j / _q0_raw(args[:, -2:], side_arr[block, None])
         out[block] = vals @ _KERNEL_W - eps * _POLE_W0 * (slopes[:, 0] - slopes[:, 1])
-    return out
+        centre[block] = vals[:, _S_GRID.size // 2]
+    return out, centre
+
+
+def _moment_series(q, eps: float, first: int = 1):
+    """Terms first..10 of L0 - l0 = sum_k (-1)^k eps^2k mu_2k/(2k)! l0^(2k)(q).
+
+    The series integrates the Taylor expansion of l0 about q against the
+    kernel; q must lie off the cuts.  Summed in full it is L0 - l0 to
+    rounding wherever q is _SERIES_D eps clear of the cuts; from
+    first = _SERIES_TERMS it is the last term, which bounds the truncation.
+    """
+    k = np.arange(1, _SERIES_TERMS + 1)
+    coef = _SERIES_TABLE @ np.where(k >= first, eps ** (2 * k), 0.0)
+    w = 1.0 - q * q
+    return q * np.sqrt(w) * polyval(1.0 / w, coef)
 
 
 def _relocation(z: np.ndarray, eps: float):
@@ -167,37 +253,58 @@ def _relocation(z: np.ndarray, eps: float):
     return z - sgn * m_steps * eps, sgn, m_steps
 
 
+def _by_series(anchor: np.ndarray, eps: float, side) -> np.ndarray:
+    """True at the untagged anchors _SERIES_D eps or more from the cuts."""
+    clear = np.hypot(np.maximum(1.0 - np.abs(anchor.real), 0.0), anchor.imag)
+    return (np.asarray(side) == 0) & (clear >= _SERIES_D * eps)
+
+
 def _big_l_values(p, eps: float, side=0) -> np.ndarray:
-    """L0 on an array of points, cuts handled exactly."""
+    """L0 - l0 on an array of points, cuts handled exactly."""
     z = np.atleast_1d(np.asarray(p, dtype=complex))
     side_arr = np.broadcast_to(np.asarray(side), z.shape)
     anchor, sgn, m_steps = _relocation(z, eps)
+    series = _by_series(anchor, eps, side_arr)
+
+    # L0 - l0 at the anchors: the moment series, or the ladder less its centre
+    out = np.empty_like(z)
+    out[series] = _moment_series(anchor[series], eps)
+    big, small = _kernel_straight(anchor[~series], eps, side_arr[~series])
+    out[~series] = big - small
 
     # telescoping the difference equation: with anchor q = p - s M eps,
     # L0(p) = L0(q) + s * eps * sum_{j=1..M} l0'(p - s (j - 1/2) eps)
-    corr = np.zeros_like(z)
-    for j in range(1, int(m_steps.max(initial=0)) + 1):
-        mask = m_steps >= j
-        mids = z[mask] - sgn[mask] * (j - 0.5) * eps
-        corr[mask] += sgn[mask] * eps * np.asarray(l0_prime(mids, side_arr[mask]))
-    return _kernel_straight(anchor, eps, side_arr) + corr
+    moved = m_steps > 0
+    if np.any(moved):
+        zm, sm, gm, mm = z[moved], side_arr[moved], sgn[moved], m_steps[moved]
+        corr = l0(anchor[moved]) - l0(zm, sm)
+        for j in range(1, int(mm.max()) + 1):
+            step = mm >= j
+            mids = zm[step] - gm[step] * (j - 0.5) * eps
+            corr[step] += gm[step] * eps * l0_prime(mids, sm[step])
+        out[moved] += corr
+    return out
 
 
 def big_l0(p, eps: float, side=0) -> QuadratureReport:
     """Smoothed branch function L0(p); see module docstring for the method."""
     _check_eps(eps)
-    val = _big_l_values(p, eps, side)
-    return QuadratureReport(complex(val[0]), _estimate_l_error(p, eps))
+    val = _big_l_values(p, eps, side)[0] + l0(complex(p), side)
+    return QuadratureReport(complex(val), _estimate_l_error(p, eps, side))
 
 
-def _estimate_l_error(p, eps: float) -> float:
+def _estimate_l_error(p, eps: float, side=0) -> float:
     """Error bar of L0(p), following the route _big_l_values takes at p."""
     z = complex(p)
     anchor, _, m_steps = _relocation(np.asarray(z), eps)
-    # the ladder rounds in proportion to its values, about l0 at the anchor;
+    q = complex(anchor)
+    # the ladder and the series round in proportion to their values, about
+    # l0 at the anchor; the series adds its last term for its truncation;
     # the relocation sum rounds once per step
+    series = _by_series(anchor, eps, side)
+    truncation = abs(_moment_series(q, eps, _SERIES_TERMS)) if series else 0.0
     relocation = 1e-15 * (abs(z.real) + 1.0) / eps if m_steps else 0.0
-    return _ROUNDING_EST * (1.0 + abs(l0(complex(anchor)))) + relocation
+    return _ROUNDING_EST * (1.0 + abs(l0(q))) + truncation + relocation
 
 
 # =====================================================================
@@ -226,9 +333,7 @@ def _g_values(q: np.ndarray, eps: float, side) -> np.ndarray:
     shape = q.shape
     flat = q.ravel()
     side_flat = np.broadcast_to(np.asarray(side), shape).ravel()
-    big = _big_l_values(flat, eps, side_flat)
-    small = _l0_raw(flat, side_flat)
-    return ((1j / eps) * (big - small)).reshape(shape)
+    return ((1j / eps) * _big_l_values(flat, eps, side_flat)).reshape(shape)
 
 
 def _dense(sweep, seg: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -87,7 +87,7 @@ import numpy as np
 
 from ._panels import cusp_panels, gl_panels
 from .branches import int_l0, l0, l0_prime, q0
-from .errors import ContourClash, TraceDiverged, TruncationTooSmall
+from .errors import ContinuationFailure, ContourClash, TraceDiverged, TruncationTooSmall
 from .spectrum import (
     ModelParams,
     dlnpn_dtau,
@@ -260,11 +260,18 @@ def trace_steepest(
 
     The steps run on scalar `action` calls, which are `spectrum.phase` off
     the cuts.  Each branch's polyline, saddle first, is checked against the
-    cuts once it is traced; one that meets a cut raises TraceDiverged.
+    cuts once it is traced; one that meets a cut raises TraceDiverged.  A
+    saddle on the branch point p = 1 (tau = tau_n) raises ContinuationFailure.
     """
     tau, xi = float(tau), float(xi)
     p0 = complex(p_n_tilde(n, tau, xi) if xi != 0.0 else p_n(n, tau))
     base = action(p0, n, tau, xi=xi)
+    if not cmath.isfinite(base.d2):
+        # p_n = 1 at tau_n; p_n_tilde refuses it for xi > 0
+        raise ContinuationFailure(
+            f"saddle p_n sits on the branch point p = 1 (n={n}, tau={tau:.6f}); "
+            "no descent contour passes through it"
+        )
     c_re = base.value.real
     im0 = base.value.imag
     first_dir = cmath.exp(1j * (0.25 * math.pi - 0.5 * cmath.phase(base.d2)))

@@ -308,6 +308,9 @@ def test_json_config_rejected(tmp_path, payload):
         (["field", "--eps", "0.2", "--n", "1", "--t", "-10",
           "--method", "series", "--x-max", "5"], 2),
         (["eigen", "--n", "1", "--tau", "0.9"], 3),
+        # at tau_1 the saddle of the edge point sits on the branch point
+        (["sweep", "--check", "outside", "--eps", "0.1", "--n", "1",
+          "--tau", "-0.5707963267948966", "--xi", "0"], 3),
         # usage errors found before any evaluation or worker pool starts
         (["field", "--eps", "0.2", "--n", "0", "--t", "-10"], 2),
         (["compare", "--eps", "0.2", "--n", "0", "--t", "-10"], 2),
@@ -346,6 +349,24 @@ def test_exit_codes(argv, code):
     assert run(argv) == code
 
 
+def _source_env():
+    """The environment of a child that imports the package under test."""
+    env = dict(os.environ)
+    src = str(Path(adiawell.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_cli_import_loads_no_symbolic_packages():
+    # set-up time: the series coefficients come from integer algebra and a
+    # table of Bernoulli numbers, not from mpmath or sympy
+    code = "import sys, adiawell.cli; print(sorted({'mpmath', 'sympy'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_source_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_console_script_usage_error():
     # `python -m adiawell` must run the target the console script names
     if tomllib is not None:
@@ -359,9 +380,7 @@ def test_console_script_usage_error():
         argv = [exe, "nonsense"]
     else:
         # source checkout: make the child import the package under test
-        src = str(Path(adiawell.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
+        env = _source_env()
         argv = [sys.executable, "-m", "adiawell", "nonsense"]
     proc = subprocess.run(argv, capture_output=True, text=True, env=env,
                           timeout=120)

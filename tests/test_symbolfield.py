@@ -96,6 +96,40 @@ L0_HARD_REFS = {
 }
 
 
+# points 6 eps to 6.3 eps from the cuts, where the moment series takes over
+# from the ladder: past the cut off the axis, below the cut past -1, below
+# the tip at 1, beside -1 and on the interval (too near -1 at eps 0.2)
+SERIES_POINTS = {
+    "past the cut": lambda eps: 1.3 + 6.1j * eps,
+    "below the cut past -1": lambda eps: -1.5 - 6.2j * eps,
+    "below the tip": lambda eps: 1.0 - 6.2 * eps * np.exp(0.25j * np.pi),
+    "beside -1": lambda eps: -1.0 + 6.3 * eps * np.exp(1j * np.pi / 3),
+    "on the interval": lambda eps: 1.0 - 6.0 * eps,
+}
+# L0 - l0 there, 30 digits as above (45 digits agree to 4e-41)
+SERIES_REFS = {
+    ("past the cut", 0.2): 0.0009269758795290494970476 - 0.0003922326992793171988129j,
+    ("below the cut past -1", 0.2): -0.0008818296056980405918479 + 0.0001867114177240882620911j,
+    ("below the tip", 0.2): 0.00005443521095233985496118 + 0.001253561198511113047934j,
+    ("beside -1", 0.2): -0.0002713689675417124745195 - 0.001140046413816564685831j,
+    ("past the cut", 0.1): 0.0005817808909448121007985 - 0.00002807274443726015464559j,
+    ("below the cut past -1", 0.1): -0.0004447834672220400249241 - 0.0001190234604844346602758j,
+    ("below the tip", 0.1): -0.00008398678617439164138946 + 0.0005822669677259827897794j,
+    ("beside -1", 0.1): -0.0001233601494238730209175 - 0.0006072434439586545794705j,
+    ("on the interval", 0.1): -0.0004312105654246310968201,
+    ("past the cut", 0.05): 0.0002575070459959509177537 + 0.000113273380661196750461j,
+    ("below the cut past -1", 0.05): -0.0001284355013041609415159 - 0.0001215143786313278949667j,
+    ("below the tip", 0.05): -0.0001225314878805360578121 + 0.0003883127165334166716465j,
+    ("beside -1", 0.05): -0.00003699204632358653856057 - 0.0004093375720117751385828j,
+    ("on the interval", 0.05): -0.0003990818165301540325564,
+    ("past the cut", 0.025): 0.00006329993428764255640721 + 0.00007708691932886859812738j,
+    ("below the cut past -1", 0.025): -0.0000223094809585892979203 - 0.00004730394448003490154185j,
+    ("below the tip", 0.025): -0.000103503240616985318761 + 0.0002749833661797446308099j,
+    ("beside -1", 0.025): -0.00001110026070699012036052 - 0.000290466697824467400723j,
+    ("on the interval", 0.025): -0.0003019017511210915121067,
+}
+
+
 # ---------------------------------------------------------------------
 # kernel values against independent quadratures
 # ---------------------------------------------------------------------
@@ -146,6 +180,53 @@ def test_big_l_values_make_one_kernel_call(monkeypatch):
     monkeypatch.setattr(sf, "_l0_raw", counted)
     sf._big_l_values(np.array([0.97 + 0.02j, -0.99 + 0.02j, 0.3 + 0.4j]), 0.1)
     assert calls[0] == 1
+
+
+def test_moment_series_leading_terms():
+    # mu_2 = 1/12 and mu_4 = 7/240, with the derivatives
+    # l0^(2) = 2q (1 - q^2)^(-3/2) and l0^(4) = (18q + 12q^3) (1 - q^2)^(-7/2)
+    eps = 0.1
+    q = np.array([0.3 + 0.9j, -1.7 - 0.8j, 0.2])
+    w = 1.0 - q * q
+    terms = [sf._moment_series(q, eps, k) - sf._moment_series(q, eps, k + 1) for k in (1, 2)]
+    second = -(eps**2) / 12.0 / 2.0 * 2.0 * q * w**-1.5
+    fourth = eps**4 * 7.0 / 240.0 / 24.0 * (18.0 * q + 12.0 * q**3) * w**-3.5
+    assert np.allclose(terms[0], second, rtol=1e-14, atol=0.0)
+    assert np.allclose(terms[1], fourth, rtol=1e-14, atol=0.0)
+
+
+def test_moment_series_at_the_switch_distance():
+    # ten terms hold L0 - l0 to 1e-15 where the series takes over (eight
+    # left 6.6e-15)
+    for (where, eps), ref in SERIES_REFS.items():
+        p = SERIES_POINTS[where](eps)
+        assert abs(sf._moment_series(p, eps) - ref) <= 1e-15, (where, eps)
+
+
+def test_ladder_and_series_meet_at_the_seam():
+    # at the same anchor the two routes to L0 agree to rounding
+    for where, eps in SERIES_REFS:
+        p = np.array([SERIES_POINTS[where](eps)])
+        ladder = sf._kernel_straight(p, eps, 0)[0][0]
+        series = sf._moment_series(p, eps)[0] + l0(p[0])
+        assert abs(ladder - series) <= 2e-15 * max(1.0, abs(ladder)), (where, eps)
+
+
+def test_big_l0_bar_on_series_anchors():
+    # points that are their own series anchors: the bar bounds the error
+    # within 100x, as on the ladder
+    routed = 0
+    for (where, eps), ref in SERIES_REFS.items():
+        p = SERIES_POINTS[where](eps)
+        anchor, _, _ = sf._relocation(np.array([p]), eps)
+        if anchor[0] != p or not sf._by_series(anchor, eps, 0)[0]:
+            continue
+        routed += 1
+        full = ref + l0(p)
+        rep = sf.big_l0(p, eps)
+        err = abs(rep.value - full)
+        assert err <= rep.est_error <= 100.0 * max(err, 1e-15 * abs(full)), (where, eps)
+    assert routed == 11
 
 
 def test_big_l0_relocated_reference():

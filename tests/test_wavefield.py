@@ -699,7 +699,9 @@ def test_shifted_contour_meeting_the_cut_is_refused(monkeypatch):
 
 def test_amplitude_work_per_contour(monkeypatch):
     # L0 ladder points, counted where the kernel evaluates them; a count
-    # does not depend on the speed of the machine
+    # does not depend on the speed of the machine.  Anchors 6 eps clear of
+    # the cuts take the moment series and no ladder: 27.3k and 33.1k points
+    # here, against 72.7k and 76.8k when every anchor took the ladder
     count = [0]
     raw = sf._l0_raw
 
@@ -710,10 +712,10 @@ def test_amplitude_work_per_contour(monkeypatch):
     monkeypatch.setattr(sf, "_l0_raw", counted)
     t = -12.0  # eps = 0.1, n = 1, edge at 2.2
     wfd.mode_outside(P01, t, np.array([2.7]))
-    assert count[0] <= 100_000
+    assert count[0] <= 34_000
     count[0] = 0
     wfd.mode_inside(P01, t, np.linspace(0.0, 2.2, 200), method="sd")
-    assert count[0] <= 100_000
+    assert count[0] <= 41_000
 
 
 # ---------------------------------------------------------------------
