@@ -308,9 +308,6 @@ def test_json_config_rejected(tmp_path, payload):
         (["field", "--eps", "0.2", "--n", "1", "--t", "-10",
           "--method", "series", "--x-max", "5"], 2),
         (["eigen", "--n", "1", "--tau", "0.9"], 3),
-        # at tau_1 the saddle of the edge point sits on the branch point
-        (["sweep", "--check", "outside", "--eps", "0.1", "--n", "1",
-          "--tau", "-0.5707963267948966", "--xi", "0"], 3),
         # usage errors found before any evaluation or worker pool starts
         (["field", "--eps", "0.2", "--n", "0", "--t", "-10"], 2),
         (["compare", "--eps", "0.2", "--n", "0", "--t", "-10"], 2),
@@ -343,6 +340,9 @@ def test_json_config_rejected(tmp_path, payload):
           "--x-max", "-5", "--nx", "10"], 2),
         (["oracle", "--eps", "0.2", "--n", "1", "--t0", "-10", "--t1", "-10",
           "--x-max", "0.5", "--nx", "10"], 2),
+        # at tau_1 the saddle of the edge point sits on the branch point
+        (["sweep", "--check", "outside", "--eps", "0.1", "--n", "1",
+          "--tau", "-0.5707963267948966", "--xi", "0"], 3),
     ],
 )
 def test_exit_codes(argv, code):
