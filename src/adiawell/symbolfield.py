@@ -14,35 +14,8 @@ real cuts, and the amplitude A(p) = exp((i/eps) int_0^p (L0 - l0)).
 
 Evaluation strategy
 -------------------
-* Straight vertical kernel contour at anchors within 6 eps of the cuts, or
-  side-tagged, whose contour stays clear of the cuts: one fixed
-  pole-corrected trapezoid ladder (step h = 0.2, 61 nodes up to |s| = 6),
-  which also gives l0 at the anchor (its node s = 0).  Within the kernel's
-  reach the integrand is meromorphic in the strip |Im s| < 1: its only
-  poles there are the kernel's double poles at s = +-i/2, where l0 takes
-  the values l0(p -+ eps/2), and the branch-point preimages sit at
-  vertical distance (1 - |Re p|)/eps >= 1.  The trapezoid
-  rule's error from the poles is a closed form in exp(-pi/h) and l0, l0' at
-  p -+ eps/2 (Trefethen and Weideman, The exponentially convergent
-  trapezoidal rule, SIAM Rev. 56 (2014) 385), which the ladder subtracts.
-  The branch points leave O(exp(-2 pi/h)) = 2e-14 at most, below rounding
-  against 30-digit references, so the ladder is accurate to rounding.  The
-  two pole values ride in the same batched l0 call as the nodes.
-* When the straight contour would cross a cut (|Re p| >= 1 with
-  |Im p| <~ 6.5 eps), or would pass within eps of a branch point (the
-  collar 1 - |Re p| < eps, where the branch-point preimages come closer to
-  the s-axis than the kernel poles and the ladder loses digits), the
-  evaluation point is relocated horizontally by an integer
-  number of eps steps using the exact difference equation, e.g.
-
-      L0(p) = L0(p - M eps) + eps * sum_{j=1..M} l0'(p - (j - 1/2) eps),
-
-  placing the kernel anchor near Re p = +-0.5 where the straight ladder is
-  valid.  This is an identity, not an approximation: every strip
-  [Re p - eps, Re p] it steps across is free of cuts, and no clearance
-  tuning or pole dodging is needed.
-* At anchors q at least 6 eps from the cuts (and untagged), the kernel
-  integral of the Taylor expansion of l0 about q replaces the ladder:
+* At anchors q at least 6 eps from the cuts, the kernel integral of the
+  Taylor expansion of l0 about q gives L0 - l0 as a moment series:
 
       L0 - l0 = sum_{k=1..10} (-1)^k eps^2k mu_2k/(2k)! l0^(2k)(q),
 
@@ -51,11 +24,41 @@ Evaluation strategy
   for fixed polynomials P_m, folded at import into one polynomial in
   1/(1 - q^2) per power of eps.  The series is asymptotic; at distance d
   from the cuts its error is about exp(-2 pi d/eps) (Trefethen and
-  Weideman, as above), 4e-17 at the switch, and ten terms truncate below
+  Weideman, The exponentially convergent trapezoidal rule, SIAM Rev. 56
+  (2014) 385), 4e-17 at the switch, and ten terms truncate below
   rounding there.  It gives L0 - l0 directly, so the amplitude's
   integrand (i/eps)(L0 - l0) carries no cancellation of two O(1) numbers.
-  So every L0 value is the series or one ladder sum at its anchor, plus
-  the relocation sum.
+  A side tag matters only on a cut, and no series anchor lies there.
+* Any point is carried to another anchor by an integer number of eps
+  steps of the exact difference equation, e.g.
+
+      L0(p) = L0(p - M eps) + eps * sum_{j=1..M} l0'(p - (j - 1/2) eps).
+
+  This is an identity, not an approximation: no clearance tuning or pole
+  dodging is needed.  The sum is taken in blocks of steps, so a point far
+  along a cut costs one l0' call per block and a bounded working set.
+  Below eps = 2/13 the points 6 eps clear of both cuts span more than one
+  step at every height, so every point short of that clearance moves by
+  the fewest steps that reach it and L0 is always the series plus the
+  relocation sum.
+* At eps >= 2/13 the series serves few anchors, and the rest take one
+  fixed pole-corrected trapezoid ladder along the straight vertical
+  kernel contour (step h = 0.2, 61 nodes up to |s| = 6), which also gives
+  l0 at the anchor (its node s = 0).  A point is relocated when that
+  contour would cross a cut (|Re p| >= 1 with |Im p| <~ 6.5 eps) or pass
+  within eps of a branch point (the collar 1 - |Re p| < eps, where the
+  branch-point preimages come closer to the s-axis than the kernel poles
+  and the ladder loses digits); its anchor then sits near Re p = +-0.5.
+  Within the kernel's reach the ladder's integrand is meromorphic in the
+  strip |Im s| < 1: its only poles there are the kernel's double poles at
+  s = +-i/2, where l0 takes the values l0(p -+ eps/2), and the
+  branch-point preimages sit at vertical distance (1 - |Re p|)/eps >= 1.
+  The trapezoid rule's error from the poles is a closed form in
+  exp(-pi/h) and l0, l0' at p -+ eps/2 (Trefethen and Weideman, as
+  above), which the ladder subtracts.  The branch points leave
+  O(exp(-2 pi/h)) = 2e-14 at most, below rounding against 30-digit
+  references, so the ladder is accurate to rounding.  The two pole values
+  ride in the same batched l0 call as the nodes.
 * Every path integral of g = (i/eps)(L0 - l0) is one kernel sweep of the
   16-point rule along a polyline: its weights give ln A at the vertices, and
   partial integrals of the degree-15 interpolant of g give it anywhere inside
@@ -139,12 +142,14 @@ _LADDER_EST = 2e-11
 # ladder anchors per block: each (anchors x 63) complex temporary stays near
 # 0.5 MB, so a sweep's working set stays a few MB however many anchors it has
 _ANCHOR_BLOCK = 512
+# relocation steps per block: each complex temporary of l0' stays at 0.5 MB
+_STEP_BLOCK = 32768
 
 # ---------------------------------------------------------------------
 # moment series constants
 # ---------------------------------------------------------------------
 
-# untagged anchors this many eps clear of the cuts take the moment series,
+# anchors this many eps clear of the cuts take the moment series,
 # whose error there is about exp(-2 pi * 6) = 4e-17 besides truncation
 _SERIES_D = 6.0
 _SERIES_TERMS = 10    # eight terms left 3.7e-15 at the switch distance
@@ -229,34 +234,76 @@ def _moment_series(q, eps: float, first: int = 1):
     kernel; q must lie off the cuts.  Summed in full it is L0 - l0 to
     rounding wherever q is _SERIES_D eps clear of the cuts; from
     first = _SERIES_TERMS it is the last term, which bounds the truncation.
+    Every term carries z^2 with z = 1/(1 - q^2), and q sqrt(1 - q^2) z^2 =
+    q z sqrt(z) off the cuts; z is formed as 1/(1 - q) times 1/(1 + q), so
+    no q^2 overflows when |q| is large.
     """
     k = np.arange(1, _SERIES_TERMS + 1)
-    coef = _SERIES_TABLE @ np.where(k >= first, eps ** (2 * k), 0.0)
-    w = 1.0 - q * q
-    return q * np.sqrt(w) * polyval(1.0 / w, coef)
+    coef = _SERIES_TABLE[2:] @ np.where(k >= first, eps ** (2 * k), 0.0)
+    z = (1.0 / (1.0 - q)) * (1.0 / (1.0 + q))
+    return q * z * np.sqrt(z) * polyval(z, coef)
 
 
 def _relocation(z: np.ndarray, eps: float):
     """Where L0 at the points z is evaluated: (anchor, sgn, m_steps).
 
     A point is moved by m_steps eps toward the origin (sgn is the sign of
-    Re p) when its straight kernel contour would cross a cut or pass within
-    _COLLAR_D eps of a branch point, which puts the anchor near
-    Re p = +-0.5.  Other points are their own anchors (m_steps 0): their
-    branch-point preimages sit no nearer the s-axis than the kernel poles,
-    or beyond |s| = _CROSS_S, where the kernel weight is about 1e-17.
+    Re p).  While (2 _SERIES_D + 1) eps < 2, the points _SERIES_D eps clear
+    of both cuts span more than one step at every height, so every point
+    short of that clearance moves by the fewest steps that reach it and its
+    anchor takes the moment series: at b = |Im p| < _SERIES_D eps the anchor
+    must end at |Re| <= 1 - sqrt((_SERIES_D eps)^2 - b^2).  Where rounding
+    leaves an anchor a hair short, it takes one more step.
+    At larger eps a point moves only when its straight kernel contour would
+    cross a cut or pass within _COLLAR_D eps of a branch point, which puts
+    the anchor near Re p = +-0.5.  Other points are their own anchors (m_steps
+    0): their branch-point preimages sit no nearer the s-axis than the kernel
+    poles, or beyond |s| = _CROSS_S, where the kernel weight is about 1e-17.
     """
-    a = np.abs(z.real)
-    moved = (a > 1.0 - _COLLAR_D * eps) & (np.abs(z.imag) <= _CROSS_S * eps)
+    a, b = np.abs(z.real), np.abs(z.imag)
     sgn = np.where(z.real >= 0.0, 1.0, -1.0)
-    m_steps = np.where(moved, np.ceil((a - 0.5) / eps), 0).astype(int)
+    if (2.0 * _SERIES_D + 1.0) * eps < 2.0:
+        d = _SERIES_D * eps
+        reach = np.sqrt(d * d - np.minimum(b, d) ** 2)
+        short = (b < d) & (a > 1.0 - reach)
+        m_steps = np.where(short, np.ceil((a - 1.0 + reach) / eps), 0.0)
+        m_steps += ~_by_series(z - sgn * m_steps * eps, eps)
+    else:
+        moved = (a > 1.0 - _COLLAR_D * eps) & (b <= _CROSS_S * eps)
+        m_steps = np.where(moved, np.ceil((a - 0.5) / eps), 0.0)
+    m_steps = m_steps.astype(int)
     return z - sgn * m_steps * eps, sgn, m_steps
 
 
-def _by_series(anchor: np.ndarray, eps: float, side) -> np.ndarray:
-    """True at the untagged anchors _SERIES_D eps or more from the cuts."""
+def _by_series(anchor: np.ndarray, eps: float) -> np.ndarray:
+    """True at the anchors _SERIES_D eps or more from the cuts.
+
+    An anchor on a cut is 0 from it, so a side tag never reaches the series.
+    """
     clear = np.hypot(np.maximum(1.0 - np.abs(anchor.real), 0.0), anchor.imag)
-    return (np.asarray(side) == 0) & (clear >= _SERIES_D * eps)
+    return clear >= _SERIES_D * eps
+
+
+def _relocation_sum(z: np.ndarray, eps: float, side, sgn: np.ndarray, m_steps: np.ndarray):
+    """sum_{j=1..M} l0'(p - s (j - 1/2) eps) at each point, M = m_steps >= 1.
+
+    The steps of all points are laid end to end and taken _STEP_BLOCK at a
+    time, so l0' is called once per block and the working set stays a few
+    MB however many steps a point needs.  Each point's steps within a block
+    are summed pairwise (np.add.reduceat), then the blocks are added.
+    """
+    ends = np.cumsum(m_steps)
+    starts = ends - m_steps
+    total = np.zeros(z.shape, dtype=complex)
+    for lo in range(0, int(ends[-1]), _STEP_BLOCK):
+        hi = min(lo + _STEP_BLOCK, int(ends[-1]))
+        pts = np.arange(np.searchsorted(ends, lo, side="right"), np.searchsorted(starts, hi))
+        first = np.maximum(starts[pts], lo)
+        owner = np.repeat(pts, np.minimum(ends[pts], hi) - first)
+        j = np.arange(lo, hi) - starts[owner] + 1
+        mids = z[owner] - sgn[owner] * (j - 0.5) * eps
+        total[pts] += np.add.reduceat(l0_prime(mids, side[owner]), first - lo)
+    return total
 
 
 def _big_l_values(p, eps: float, side=0) -> np.ndarray:
@@ -264,7 +311,7 @@ def _big_l_values(p, eps: float, side=0) -> np.ndarray:
     z = np.atleast_1d(np.asarray(p, dtype=complex))
     side_arr = np.broadcast_to(np.asarray(side), z.shape)
     anchor, sgn, m_steps = _relocation(z, eps)
-    series = _by_series(anchor, eps, side_arr)
+    series = _by_series(anchor, eps)
 
     # L0 - l0 at the anchors: the moment series, or the ladder less its centre
     out = np.empty_like(z)
@@ -276,13 +323,9 @@ def _big_l_values(p, eps: float, side=0) -> np.ndarray:
     # L0(p) = L0(q) + s * eps * sum_{j=1..M} l0'(p - s (j - 1/2) eps)
     moved = m_steps > 0
     if np.any(moved):
-        zm, sm, gm, mm = z[moved], side_arr[moved], sgn[moved], m_steps[moved]
-        corr = l0(anchor[moved]) - l0(zm, sm)
-        for j in range(1, int(mm.max()) + 1):
-            step = mm >= j
-            mids = zm[step] - gm[step] * (j - 0.5) * eps
-            corr[step] += gm[step] * eps * l0_prime(mids, sm[step])
-        out[moved] += corr
+        zm, sm, gm = z[moved], side_arr[moved], sgn[moved]
+        steps = _relocation_sum(zm, eps, sm, gm, m_steps[moved])
+        out[moved] += l0(anchor[moved]) - l0(zm, sm) + gm * eps * steps
     return out
 
 
@@ -290,10 +333,10 @@ def big_l0(p, eps: float, side=0) -> QuadratureReport:
     """Smoothed branch function L0(p); see module docstring for the method."""
     _check_eps(eps)
     val = _big_l_values(p, eps, side)[0] + l0(complex(p), side)
-    return QuadratureReport(complex(val), _estimate_l_error(p, eps, side))
+    return QuadratureReport(complex(val), _estimate_l_error(p, eps))
 
 
-def _estimate_l_error(p, eps: float, side=0) -> float:
+def _estimate_l_error(p, eps: float) -> float:
     """Error bar of L0(p), following the route _big_l_values takes at p."""
     z = complex(p)
     anchor, _, m_steps = _relocation(np.asarray(z), eps)
@@ -301,7 +344,7 @@ def _estimate_l_error(p, eps: float, side=0) -> float:
     # the ladder and the series round in proportion to their values, about
     # l0 at the anchor; the series adds its last term for its truncation;
     # the relocation sum rounds once per step
-    series = _by_series(anchor, eps, side)
+    series = _by_series(anchor, eps)
     truncation = abs(_moment_series(q, eps, _SERIES_TERMS)) if series else 0.0
     relocation = 1e-15 * (abs(z.real) + 1.0) / eps if m_steps else 0.0
     return _ROUNDING_EST * (1.0 + abs(l0(q))) + truncation + relocation

@@ -343,6 +343,8 @@ def test_json_config_rejected(tmp_path, payload):
         # at tau_1 the saddle of the edge point sits on the branch point
         (["sweep", "--check", "outside", "--eps", "0.1", "--n", "1",
           "--tau", "-0.5707963267948966", "--xi", "0"], 3),
+        # far up the imaginary axis the moment series once overflowed to nan
+        (["special", "--fn", "L0", "--z", "1e155j", "--eps", "0.1"], 0),
     ],
 )
 def test_exit_codes(argv, code):

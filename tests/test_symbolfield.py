@@ -10,14 +10,21 @@ seam 1 - |Re p| = 0.45 eps past which anchors were relocated; the two
 collar points nearest the tip and the seam points also at every
 quarter-integer s, around the kernel poles at s = +-i/2), and the
 nested R0 value by a 20-digit double quadrature of the kernel inside the
-path integral.  The upper-edge amplitude, which the code carries from the
-real axis by a recursion, is checked against a quadrature along a graded
-route through the upper half plane built here.  Everything else is checked
+path integral.  The near-cut references at eps <= 0.125 are mp.quad kernel
+integrals at 36 digits along the vertical line through the point where
+that line clears the cuts, split at the column nearest the branch point;
+past the cuts the line runs through the anchor near Re p = +-0.5 instead,
+and the relocation sum is added in mpmath (48 digits agree to 1e-36).  The
+upper-edge amplitude, which the code carries from the real axis by a
+recursion, is checked against a quadrature along a graded route through
+the upper half plane built here.  Everything else is checked
 against defining identities (difference equations, symmetry laws) or
 scaling forms whose constants the tests measure rather than assume.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,6 +137,75 @@ SERIES_REFS = {
 }
 
 
+# points beside the cuts, where below eps = 2/13 the relocation carries every
+# anchor onto the moment series: the collar, the hook leg 1 - iy (tagged as
+# the hook passes it), points just above the cut past 1 and on its upper
+# edge, and points beside -1; (point, side) at each eps
+NEAR_CUT_POINTS = {
+    "collar": lambda eps: (1.0 - 0.3 * eps + 0.2j * eps, 0),
+    "collar on the interval": lambda eps: (1.0 - 0.7 * eps, 0),
+    "hook leg 1e-6": lambda eps: (1.0 - 1e-6j, 1),
+    "hook leg 0.05": lambda eps: (1.0 - 0.05j, 1),
+    "hook leg 0.5": lambda eps: (1.0 - 0.5j, 1),
+    "hook leg 3": lambda eps: (1.0 - 3j, 1),
+    "above the cut": lambda eps: (1.0 + 0.3 * eps + 0.2j * eps, 0),
+    "just above the cut": lambda eps: (1.5 + 1e-3j * eps, 0),
+    "upper edge": lambda eps: (1.5, 1),
+    "beside -1": lambda eps: (-1.0 + 0.5 * eps * np.exp(1j * np.pi / 3), 0),
+    "below the cut past -1": lambda eps: (-1.0 - 0.4 * eps - 0.3j * eps, 0),
+}
+# L0 there, to 22 digits (see the module docstring)
+L0_NEAR_CUT_REFS = {
+    ("collar", 0.125): 2.537233463231033535451 + 0.1551967865360378022962j,
+    ("collar on the interval", 0.125): 2.283839067469962143697,
+    ("hook leg 1e-6", 0.125): 2.840106505055834420684 - 0.000009590334763304883727855j,
+    ("hook leg 0.05", 0.125): 2.70690631653126426746 - 0.4008727725849939080907j,
+    ("hook leg 0.5", 0.125): 1.792895065868843391228 - 1.46482447667027064593j,
+    ("hook leg 3", 0.125): 0.6152688256740926908564 - 3.728225025880122180099j,
+    ("above the cut", 0.125): 3.153539928018031741315 + 0.4724479000331429577706j,
+    ("just above the cut", 0.125): 2.841071582898264749607 + 1.624045141071449264074j,
+    ("upper edge", 0.125): 2.840106505130192335973 + 1.622847514907248691742j,
+    ("beside -1", 0.125): -2.521013287321053621779 + 0.3308745621937764508591j,
+    ("below the cut past -1", 0.125): -3.054998488395753693437 - 0.6974186989366757911476j,
+    ("collar", 0.1): 2.601197338566070169781 + 0.1384758806083357192967j,
+    ("collar on the interval", 0.1): 2.375445145725119840158,
+    ("hook leg 1e-6", 0.1): 2.871761291796140107836 - 0.00001071408848286313890054j,
+    ("hook leg 0.05", 0.1): 2.708676420016595149808 - 0.4183888183553043962861j,
+    ("hook leg 0.5", 0.1): 1.792504690327181542128 - 1.465146658109388671112j,
+    ("hook leg 3", 0.1): 0.615246671477430628068 - 3.728260331379863063706j,
+    ("above the cut", 0.1): 3.151904337691092009939 + 0.4226685002785101320499j,
+    ("just above the cut", 0.1): 2.872646271072306771575 + 1.655615769446123898802j,
+    ("upper edge", 0.1): 2.871761291900230193596 + 1.654545405795519722566j,
+    ("beside -1", 0.1): -2.586431590126156196437 + 0.2952461001297487536888j,
+    ("below the cut past -1", 0.1): -3.063598406365478202362 - 0.6240494674126663588768j,
+    ("collar", 0.05): 2.759705669583283120779 + 0.09744377178503587288291j,
+    ("collar on the interval", 0.05): 2.601317719071289964406,
+    ("hook leg 1e-6", 0.05): 2.950548799497142428754 - 0.00001512851331451326628427j,
+    ("hook leg 0.05", 0.05): 2.701404388898683185405 - 0.4434442074822088289093j,
+    ("hook leg 0.5", 0.05): 1.791986893573551407131 - 1.465573655628922074692j,
+    ("hook leg 3", 0.05): 0.6152171406274870881228 - 3.728307400089119433964j,
+    ("above the cut", 0.05): 3.1483515519070286945 + 0.2990075124157362649104j,
+    ("just above the cut", 0.05): 2.951212684922441547635 + 1.734301159506425482874j,
+    ("upper edge", 0.05): 2.95054879979251778492 + 1.733545475465168783731j,
+    ("beside -1", 0.05): -2.74890721086552938604 + 0.2077856049380281411882j,
+    ("below the cut past -1", 0.05): -3.085668819566117411205 - 0.4416315028981732671461j,
+    ("collar", 0.025): 2.871640547571282464581 + 0.06873655571890535915092j,
+    ("collar on the interval", 0.025): 2.760076994667585711151,
+    ("hook leg 1e-6", 0.025): 3.006418513241315826516 - 0.00002137818638595572628738j,
+    ("hook leg 0.05", 0.025): 2.697479180462646585207 - 0.4478680785866151784407j,
+    ("hook leg 0.5", 0.025): 1.791857914406305537058 - 1.46567995720123035876j,
+    ("hook leg 3", 0.025): 0.6152097593568515773917 - 3.728319166322047969178j,
+    ("above the cut", 0.025): 3.146182497249705102532 + 0.2114770824663832179099j,
+    ("just above the cut", 0.025): 3.006906882306183478834 + 1.790092791099379879574j,
+    ("upper edge", 0.025): 3.006418514078113259037 + 1.789558861245543278976j,
+    ("beside -1", 0.025): -2.863881084649203380536 + 0.1465788096296996349363j,
+    ("below the cut past -1", 0.025): -3.101772582302113635169 - 0.3124068644092718027443j,
+}
+# L0(1e5 + 0.01i) at eps 0.1, a relocation of about 1e6 steps: the kernel
+# integral at 0.5 + 0.01i plus 999,995 steps summed at 30 digits
+L0_FAR_REF = 2.96650622045635853472728204399 + 24.2362500633557987954849310896j
+
+
 # ---------------------------------------------------------------------
 # kernel values against independent quadratures
 # ---------------------------------------------------------------------
@@ -168,8 +244,8 @@ def test_old_collar_seam_is_accurate():
 
 
 def test_big_l_values_make_one_kernel_call(monkeypatch):
-    # collar points are relocated like points past the cut, so a batch
-    # holding them still goes through one blocked ladder call
+    # at eps 0.2 collar points are relocated like points past the cut, so a
+    # batch holding them still goes through one blocked ladder call
     calls = [0]
     raw = sf._l0_raw
 
@@ -178,9 +254,150 @@ def test_big_l_values_make_one_kernel_call(monkeypatch):
         return raw(z, side)
 
     monkeypatch.setattr(sf, "_l0_raw", counted)
-    sf._big_l_values(np.array([0.97 + 0.02j, -0.99 + 0.02j, 0.3 + 0.4j]), 0.1)
+    sf._big_l_values(np.array([0.97 + 0.02j, -0.99 + 0.02j, 0.3 + 0.4j]), 0.2)
     assert calls[0] == 1
 
+
+def test_big_l_values_take_no_ladder_below_two_thirteenths(monkeypatch):
+    # at eps 0.1 the same batch is carried onto the moment series: no ladder
+    # column is evaluated
+    columns = [0]
+    raw = sf._l0_raw
+
+    def counted(z, side):
+        columns[0] += np.size(z)
+        return raw(z, side)
+
+    monkeypatch.setattr(sf, "_l0_raw", counted)
+    sf._big_l_values(np.array([0.97 + 0.02j, -0.99 + 0.02j, 0.3 + 0.4j]), 0.1)
+    assert columns[0] == 0
+
+
+
+def test_big_l0_at_near_cut_anchors():
+    # relocated by the fewest steps that clear the cuts by 6 eps, then the
+    # moment series: rounding level, with a bar that bounds the error
+    for (where, eps), ref in L0_NEAR_CUT_REFS.items():
+        p, side = NEAR_CUT_POINTS[where](eps)
+        rep = sf.big_l0(p, eps, side)
+        err = abs(rep.value - ref)
+        assert err <= 2e-15 * max(1.0, abs(ref)), (where, eps)
+        assert err <= rep.est_error <= 100.0 * max(err, 1e-15 * abs(ref)), (where, eps)
+
+
+def _hard_points(eps):
+    """The named points above at one eps, with their side tags."""
+    named = [f(eps) for f in (*HARD_ANCHORS.values(), *NEAR_CUT_POINTS.values())]
+    named += [(f(eps), 0) for f in SERIES_POINTS.values()]
+    return [complex(p) for p, _ in named], [side for _, side in named]
+
+
+@pytest.mark.parametrize("eps", [0.15, 0.125, 0.1, 0.05, 0.025])
+def test_every_anchor_takes_the_series_below_two_thirteenths(eps, monkeypatch):
+    # among the named points, those exactly 6 eps from a cut can fall a
+    # rounding short of the clearance; they take one more step
+    rng = np.random.default_rng(2413)
+    pts, sides = _hard_points(eps)
+    pts += [1.0 - 6.0 * eps, -1.0 + 6.0 * eps, 1.0 - 6j * eps, 1.0 - 6.0 * eps * np.exp(0.3j)]
+    sides += [0, 0, 1, 0]
+    z = np.concatenate([pts, rng.uniform(-3.0, 3.0, 4000) + 1j * rng.uniform(-8, 8, 4000) * eps])
+    side = np.concatenate([sides, np.zeros(4000, dtype=int)])
+    anchor, _, _ = sf._relocation(z, eps)
+    assert np.all(sf._by_series(anchor, eps))
+    columns = [0]
+    raw = sf._l0_raw
+
+    def counted(w, tag):
+        columns[0] += np.size(w)
+        return raw(w, tag)
+
+    monkeypatch.setattr(sf, "_l0_raw", counted)
+    sf._big_l_values(z, eps, side)
+    assert columns[0] == 0
+
+
+def test_no_step_count_clears_some_points_above_two_thirteenths():
+    # past eps = 2/13 the band 6 eps clear of both cuts is narrower than a
+    # step on the real axis: at eps 0.16 no relocation of 0.42 reaches it
+    eps = 0.16
+    shifted = 0.42 - eps * np.arange(0, 10)
+    assert not np.any(sf._by_series(shifted + 0j, eps))
+
+
+def _ladder_route(p, eps, side):
+    """L0 by the straight ladder at the anchor of the collar rule, which
+    every near-cut point took before the series reached it; the relocation
+    sum is taken one step at a time"""
+    a = np.abs(p.real)
+    moved = (a > 1.0 - eps) & (np.abs(p.imag) <= 6.5 * eps)
+    sgn = np.where(p.real >= 0.0, 1.0, -1.0)
+    m = np.where(moved, np.ceil((a - 0.5) / eps), 0).astype(int)
+    val = sf._kernel_straight(p - sgn * m * eps, eps, side)[0]
+    for j in range(1, int(m.max()) + 1):
+        step = m >= j
+        mids = p[step] - sgn[step] * (j - 0.5) * eps
+        val[step] += sgn[step] * eps * l0_prime(mids, side[step])
+    return val
+
+
+@pytest.mark.parametrize("eps", [0.125, 0.1, 0.05, 0.025])
+def test_relocated_series_agrees_with_the_ladder(eps):
+    # random points within 8 eps of the cuts, some of them on the real axis
+    # with a side tag: the two routes agree to rounding
+    rng = np.random.default_rng(int(1000 * eps))
+    z = rng.uniform(-2.5, 2.5, 12000) + 1j * rng.uniform(-8.0, 8.0, 12000) * eps
+    z[:1200] = z[:1200].real * np.where(np.abs(z[:1200].real) > 1.0, 1.0, 2.0)
+    dist = np.hypot(np.maximum(1.0 - np.abs(z.real), 0.0), z.imag)
+    z = z[(dist <= 8.0 * eps) & (np.abs(z.real) != 1.0)][:3000]
+    assert z.size == 3000
+    side = np.where(z.imag == 0.0, rng.choice([-1, 1], z.size), 0)
+    ref = _ladder_route(z, eps, side)
+    val = sf._big_l_values(z, eps, side) + l0(z, side)
+    assert np.all(np.abs(val - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_relocation_sum_is_blocked(monkeypatch):
+    # 1e5 + 0.01i at eps 0.1 is about 1e6 steps from its anchor: l0' is
+    # called once per block of steps, and the working set stays bounded
+    calls, largest = [0], [0]
+    prime = sf.l0_prime
+
+    def counted(p, side=0):
+        calls[0] += 1
+        largest[0] = max(largest[0], np.size(p))
+        return prime(p, side)
+
+    monkeypatch.setattr(sf, "l0_prime", counted)
+    z = np.array([1e5 + 0.01j, 2.0 + 0.01j, -3.0])
+    _, _, m_steps = sf._relocation(z, 0.1)
+    tracemalloc.start()
+    try:
+        sf._big_l_values(z, 0.1, np.array([0, 0, -1]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert calls[0] == -(-int(m_steps.sum()) // sf._STEP_BLOCK) == 31
+    assert largest[0] == sf._STEP_BLOCK
+    assert peak < 8 * 2**20
+
+
+def test_big_l0_far_along_the_cut():
+    # the million-step relocation sum against mpmath, within its bar
+    rep = sf.big_l0(1e5 + 0.01j, 0.1)
+    assert abs(rep.value - L0_FAR_REF) <= rep.est_error <= 1.1e-9
+
+
+def test_moment_series_far_from_the_cuts():
+    # past |q| = 1.3e154, q^2 overflowed and the series came out nan
+    eps = 0.1
+    q = np.array([1e100j, 1e100 * (1.0 + 1.0j)])
+    w = 1.0 - q * q
+    second = -(eps**2) / 12.0 * q / (w * np.sqrt(w))
+    assert np.allclose(sf._moment_series(q, eps), second, rtol=1e-14, atol=0.0)
+    far = sf._moment_series(np.array([1e155j, 1e200 * (1.0 + 1.0j), -1e300 + 1j]), eps)
+    assert np.all(np.abs(far) <= 1e-300)
+    rep = sf.big_l0(1e155j, eps)
+    assert np.isfinite(rep.value) and np.isfinite(rep.est_error)
 
 def test_moment_series_leading_terms():
     # mu_2 = 1/12 and mu_4 = 7/240, with the derivatives
@@ -219,14 +436,14 @@ def test_big_l0_bar_on_series_anchors():
     for (where, eps), ref in SERIES_REFS.items():
         p = SERIES_POINTS[where](eps)
         anchor, _, _ = sf._relocation(np.array([p]), eps)
-        if anchor[0] != p or not sf._by_series(anchor, eps, 0)[0]:
+        if anchor[0] != p or not sf._by_series(anchor, eps)[0]:
             continue
         routed += 1
         full = ref + l0(p)
         rep = sf.big_l0(p, eps)
         err = abs(rep.value - full)
         assert err <= rep.est_error <= 100.0 * max(err, 1e-15 * abs(full)), (where, eps)
-    assert routed == 11
+    assert routed == 17
 
 
 def test_big_l0_relocated_reference():
@@ -522,8 +739,10 @@ def test_hook_edge_nodes_clear_the_lattice_singularities(eps):
 @pytest.mark.parametrize("eps", [0.2, 0.125, 0.05])
 def test_edge_tables_work(eps, monkeypatch):
     # L0 ladder points for one build of the hook tables (both edge rules, A(1)
-    # and the vertical leg): 123k-127k, as one real-axis sweep serves the
-    # edge and A(1); a sweep per edge rule and one for A(1) took 142k-155k
+    # and the vertical leg): one real-axis sweep serves the edge and A(1).
+    # Below eps = 2/13 every anchor is carried onto the moment series; at
+    # eps 0.2 the leg nodes 6 eps deep take it (117,243 points, against
+    # 120,960 when a side tag kept them on the ladder)
     count = [0]
     raw = sf._l0_raw
 
@@ -533,7 +752,7 @@ def test_edge_tables_work(eps, monkeypatch):
 
     monkeypatch.setattr(sf, "_l0_raw", counted)
     wfd._hook_tables.__wrapped__(eps)
-    assert count[0] <= 135_000
+    assert count[0] <= {0.2: 120_000, 0.125: 0, 0.05: 0}[eps]
 
 
 def test_eps_memo_stays_within_its_bound():

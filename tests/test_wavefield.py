@@ -698,24 +698,32 @@ def test_shifted_contour_meeting_the_cut_is_refused(monkeypatch):
 
 
 def test_amplitude_work_per_contour(monkeypatch):
-    # L0 ladder points, counted where the kernel evaluates them; a count
-    # does not depend on the speed of the machine.  Anchors 6 eps clear of
-    # the cuts take the moment series and no ladder: 27.3k and 33.1k points
-    # here, against 72.7k and 76.8k when every anchor took the ladder
-    count = [0]
-    raw = sf._l0_raw
+    # L0 ladder points and relocation steps, counted where the kernel and the
+    # relocation sum evaluate them; a count does not depend on the speed of
+    # the machine.  At eps 0.1 every anchor is carried onto the moment
+    # series, so no ladder point is left (27.3k and 33.1k when anchors near
+    # the cuts took the ladder); the carrying costs 4.3k and 5.2k steps
+    points, steps = [0], [0]
+    raw, prime = sf._l0_raw, sf.l0_prime
 
     def counted(z, side):
-        count[0] += np.size(z)
+        points[0] += np.size(z)
         return raw(z, side)
 
+    def stepped(p, side=0):
+        steps[0] += np.size(p)
+        return prime(p, side)
+
     monkeypatch.setattr(sf, "_l0_raw", counted)
+    monkeypatch.setattr(sf, "l0_prime", stepped)
     t = -12.0  # eps = 0.1, n = 1, edge at 2.2
     wfd.mode_outside(P01, t, np.array([2.7]))
-    assert count[0] <= 34_000
-    count[0] = 0
+    assert points[0] == 0
+    assert steps[0] <= 5_400
+    steps[0] = 0
     wfd.mode_inside(P01, t, np.linspace(0.0, 2.2, 200), method="sd")
-    assert count[0] <= 41_000
+    assert points[0] == 0
+    assert steps[0] <= 6_500
 
 
 # ---------------------------------------------------------------------
