@@ -59,12 +59,13 @@ Evaluation strategy
   O(exp(-2 pi/h)) = 2e-14 at most, below rounding against 30-digit
   references, so the ladder is accurate to rounding.  The two pole values
   ride in the same batched l0 call as the nodes.
-* Every path integral of g = (i/eps)(L0 - l0) is one kernel sweep of the
-  16-point rule along a polyline: its weights give ln A at the vertices, and
-  partial integrals of the degree-15 interpolant of g give it anywhere inside
-  a segment (dense output).  `path_cumulative` sweeps each polyline once and
-  bounds its error by the top Legendre coefficients of those interpolants;
-  `amplitude_along` grades a contour's segments toward +-1 before it sweeps.
+* Every amplitude is reached from the origin by one route (`_ln_amplitude`):
+  a polyline from 0 whose pieces are halved until each is within 0.3 of its
+  distance to the singularities of g = (i/eps)(L0 - l0), +-1 and the lattice
+  points +-(1 + (l + 1/2) eps), swept once by the 16-point rule.
+  `path_cumulative` bounds a sweep's error by the top Legendre coefficients
+  of the degree-15 interpolants of g, whose partial integrals give ln A
+  anywhere inside a piece (dense output).
 * The amplitude on the upper edge of [1, inf) - needed by the post-threshold
   contour - is carried there from the real axis just below 1 by the exact
   recursion A(p + eps) = rho0(p + eps/2) A(p) exp((i/eps)(int_l0(p) -
@@ -91,7 +92,7 @@ from numpy.polynomial.polynomial import polyval
 
 from ._panels import gl_panels, gl_rule
 from .branches import _l0_raw, _q0_raw, int_l0, l0, l0_prime, rho0
-from .errors import ContourClash
+from .errors import AdiawellError, ContourClash
 from .spectrum import _check_eps
 
 __all__ = [
@@ -144,6 +145,11 @@ _LADDER_EST = 2e-11
 _ANCHOR_BLOCK = 512
 # relocation steps per block: each complex temporary of l0' stays at 0.5 MB
 _STEP_BLOCK = 32768
+# refusal bounds, checked before any large allocation: relocation steps of
+# one L0 batch (about 0.05 s per million) and graded pieces of one amplitude
+# route (16 L0 points each)
+_MAX_STEPS = 10**7
+_MAX_PIECES = 2**14
 
 # ---------------------------------------------------------------------
 # moment series constants
@@ -259,6 +265,7 @@ def _relocation(z: np.ndarray, eps: float):
     the anchor near Re p = +-0.5.  Other points are their own anchors (m_steps
     0): their branch-point preimages sit no nearer the s-axis than the kernel
     poles, or beyond |s| = _CROSS_S, where the kernel weight is about 1e-17.
+    A batch that needs more than _MAX_STEPS steps in all is refused.
     """
     a, b = np.abs(z.real), np.abs(z.imag)
     sgn = np.where(z.real >= 0.0, 1.0, -1.0)
@@ -271,6 +278,9 @@ def _relocation(z: np.ndarray, eps: float):
     else:
         moved = (a > 1.0 - _COLLAR_D * eps) & (b <= _CROSS_S * eps)
         m_steps = np.where(moved, np.ceil((a - 0.5) / eps), 0.0)
+    if not np.sum(m_steps) <= _MAX_STEPS:
+        raise AdiawellError(f"L0 needs more than {_MAX_STEPS} relocation steps; "
+                            "the points lie too far along a cut")
     m_steps = m_steps.astype(int)
     return z - sgn * m_steps * eps, sgn, m_steps
 
@@ -362,8 +372,9 @@ def _estimate_l_error(p, eps: float) -> float:
 _LEG_COEF = np.linalg.inv(legvander(gl_rule(16)[0], 15))
 _LEG_INT = legint(np.eye(16), lbnd=-1)  # column k: int_{-1}^u P_k, in Legendre terms
 
-# amplitude_along's targets: the 8- then the 16-point nodes of a segment
-_TARGETS = np.concatenate([gl_rule(8)[0], gl_rule(16)[0]])
+# amplitude_along's targets: the 8- then the 16-point nodes of a segment, as
+# fractions of it
+_TARGETS = 0.5 * (np.concatenate([gl_rule(8)[0], gl_rule(16)[0]]) + 1.0)
 
 
 def _partial_integral_matrix(targets: np.ndarray) -> np.ndarray:
@@ -409,32 +420,69 @@ def path_cumulative(points: Sequence[complex] | np.ndarray, eps: float, side=0):
     return (half, g, cum), float(np.sum(np.abs(half) * tail))
 
 
-def _route_from_origin(p: complex, eps: float) -> np.ndarray:
-    """A polyline from 0 to p staying inside C0 (p off the cuts).
+def _meets_cut(points: np.ndarray) -> bool:
+    """True if the polyline touches or crosses the cuts |Re p| >= 1, Im p = 0."""
+    a, b = points[:-1], points[1:]
+    on_cut = (points.imag == 0.0) & (np.abs(points.real) >= 1.0)
+    across = a.imag * b.imag < 0.0
+    t = a.imag[across] / (a.imag[across] - b.imag[across])
+    x = a.real[across] + t * (b.real[across] - a.real[across])
+    return bool(np.any(on_cut) or np.any(np.abs(x) >= 1.0))
 
-    Vertex spacing shrinks with the distance to the branch points at +-1 and
-    to the nearest lattice singularity +-(1 + (l + 1/2) eps) of L0, so the
-    quadrature resolves the eps-scale structure when the route grazes or
-    ends near one.
+
+def _graded_route(pts: np.ndarray, eps: float):
+    """The polyline pts cut into graded pieces: (vertices, segment, lo, hi) per piece.
+
+    A piece, the fractions [lo, hi] of its segment, is halved while it is
+    longer than 0.3 of its distance to the nearest singularity of g: +-1 or
+    a lattice point +-(1 + (l + 1/2) eps) of L0, taken as its midpoint's
+    distance less half its length, with a floor of 1e-9.  So the 16-point
+    rule converges geometrically on every piece (Trefethen, as above), and a
+    piece far from them is as long as that allows.  A route that hugs a cut
+    far out needs pieces in proportion to its length over eps; past
+    _MAX_PIECES it is refused before the sweep.
     """
-    a, b = p.real, p.imag
-    if b == 0.0 and abs(a) >= 1.0:
-        raise ContourClash("point lies on a cut; use the upper-edge entry points")
-    length = abs(p)
-    if length == 0.0:
-        raise ValueError("route target must differ from the origin")
-    direction = p / length
-    pts = [0.0 + 0.0j]
-    t = 0.0
-    while t < length:
-        here = direction * t
-        w = complex(abs(here.real), here.imag)
-        lattice = 1.0 + (max(round((w.real - 1.0) / eps - 0.5), 0) + 0.5) * eps
-        d_sing = min(abs(w - 1.0), abs(w - lattice))
-        step = min(0.25, max(0.3 * d_sing, 1e-9))
-        t = min(t + step, length)
-        pts.append(direction * t)
-    return np.array(pts, dtype=complex)
+    on = np.arange(pts.size - 1)
+    lo, hi = np.zeros(on.size), np.ones(on.size)
+    while True:
+        step = pts[on + 1] - pts[on]
+        length = (hi - lo) * np.abs(step)
+        w = pts[on] + 0.5 * (lo + hi) * step
+        w = np.abs(w.real) + 1j * w.imag
+        lattice = 1.0 + (np.maximum(np.round((w.real - 1.0) / eps - 0.5), 0.0) + 0.5) * eps
+        near = np.minimum(np.abs(w - 1.0), np.abs(w - lattice)) - 0.5 * length
+        split = length > np.maximum(0.3 * near, 1e-9)
+        if not np.any(split):
+            break
+        if on.size + np.count_nonzero(split) > _MAX_PIECES:
+            raise AdiawellError(f"amplitude route needs more than {_MAX_PIECES} graded "
+                                "pieces; the point lies too far along a cut")
+        # each split piece becomes its two halves, in order
+        first = np.flatnonzero(split) + np.arange(np.count_nonzero(split))
+        centre = 0.5 * (lo + hi)[split]
+        on, lo, hi = (np.repeat(v, 1 + split) for v in (on, lo, hi))
+        hi[first] = centre
+        lo[first + 1] = centre
+    return np.append(pts[on] + lo * (pts[on + 1] - pts[on]), pts[-1]), on, lo, hi
+
+
+def _ln_amplitude(pts: np.ndarray, seg, frac, eps: float):
+    """ln A at the fractions frac of the segments seg (broadcast together) of pts.
+
+    The one route from the origin to A: the polyline pts, which starts at 0,
+    is graded (`_graded_route`) and swept once (`path_cumulative`), and ln A
+    at each target is the dense output of the piece that holds it.  Returns
+    ln A in the broadcast shape, and the sweep's bar.  A polyline that meets
+    a cut would carry A onto another sheet, so it raises ContourClash.
+    """
+    if _meets_cut(pts):
+        raise ContourClash("amplitude polyline meets a cut |Re p| >= 1 of the real axis")
+    verts, on, lo, hi = _graded_route(pts, eps)
+    sweep, est = path_cumulative(verts, eps)
+    piece = np.searchsorted(on + lo, seg + frac, side="right") - 1
+    piece -= on[piece] > seg  # a target at the end of its segment
+    u = 2.0 * (frac - lo[piece]) / (hi[piece] - lo[piece]) - 1.0
+    return _dense(sweep, piece, u), est
 
 
 def amplitude_a(p, eps: float) -> QuadratureReport:
@@ -449,8 +497,8 @@ def amplitude_a(p, eps: float) -> QuadratureReport:
     if z.imag == 0.0 and z.real >= 1.0:
         val, est = _real_amplitude(eps, np.array([z.real]))
         return QuadratureReport(complex(val[0]), est + _LADDER_EST)
-    (_, _, cum), est = path_cumulative(_route_from_origin(z, eps), eps)
-    return QuadratureReport(complex(np.exp(cum[-1])), est + _LADDER_EST)
+    ln_a, est = _ln_amplitude(np.array([0.0, z]), 0, 1.0, eps)
+    return QuadratureReport(complex(np.exp(ln_a)), est + _LADDER_EST)
 
 
 def r0(p, eps: float) -> QuadratureReport:
@@ -477,11 +525,9 @@ def _real_amplitude(eps: float, xs: np.ndarray) -> tuple[np.ndarray, float]:
 
     Every x is written as x0 + m eps with x0 in [0, 1) and m as small as
     that allows, so m = 0 below 1 - eps and x0 is in [1 - eps, 1) on the
-    edge.  ln A(x0) comes from one `path_cumulative` sweep along the route
-    from the origin to the largest x0, with every x0 a vertex; the x0 are
-    keyed by x0/eps to 12 digits, so edge points at the same place in
-    different periods share one vertex.  Each period is then one exact step
-    of the R0 difference equation,
+    edge.  ln A(x0) comes from `_ln_amplitude` on the segment from the
+    origin to the largest x0, at the fractions x0 / max x0.  Each period is
+    then one exact step of the R0 difference equation,
     A(p + eps) = rho0(p + eps/2) A(p) exp((i/eps)(int_l0(p) - int_l0(p + eps))).
     The steps use the exact x0 and take their rho0 midpoints as
     x - (m - j - 1/2) eps, the rounding by which the relocation sum of L0
@@ -491,13 +537,8 @@ def _real_amplitude(eps: float, xs: np.ndarray) -> tuple[np.ndarray, float]:
     xs = np.asarray(xs, dtype=float)
     m = np.maximum(np.floor((xs - 1.0) / eps + 1e-12).astype(int) + 1, 0)
     x0 = xs - m * eps
-    _, first, inverse = np.unique(
-        np.round(x0 / eps, 12), return_index=True, return_inverse=True
-    )
-    below = x0[first]
-    pts = np.union1d(_route_from_origin(complex(below[-1]), eps).real, below)
-    (_, _, cum), est = path_cumulative(pts, eps)
-    out = np.exp(cum[np.searchsorted(pts, below)])[inverse]
+    ln_a, est = _ln_amplitude(np.array([0.0, x0.max()]), 0, x0 / x0.max(), eps)
+    out = np.exp(ln_a)
     for j in range(int(m.max())):
         mask = m > j
         out[mask] *= rho0(xs[mask] - (m[mask] - j - 0.5) * eps, side=1)
@@ -527,61 +568,19 @@ def _lnA_at_one(eps: float) -> complex:
     return complex(np.log(upper_edge_amplitude(eps, np.array([1.0]))[0]))
 
 
-def _meets_cut(points: np.ndarray) -> bool:
-    """True if the polyline touches or crosses the cuts |Re p| >= 1, Im p = 0."""
-    a, b = points[:-1], points[1:]
-    on_cut = (points.imag == 0.0) & (np.abs(points.real) >= 1.0)
-    across = a.imag * b.imag < 0.0
-    t = a.imag[across] / (a.imag[across] - b.imag[across])
-    x = a.real[across] + t * (b.real[across] - a.real[across])
-    return bool(np.any(on_cut) or np.any(np.abs(x) >= 1.0))
-
-
-def _graded_breaks(a: complex, b: complex, lo: float = 0.0, hi: float = 1.0) -> list[float]:
-    """Left ends, as fractions of [a, b], of graded pieces of its part [lo, hi].
-
-    A piece is halved while it is longer than 0.3 of its distance to +-1
-    (taken as its midpoint's, less half its length; with the floor of
-    `_route_from_origin`), so that the 16-point rule resolves the sqrt
-    structure of L0 next to the branch points.
-    """
-    mid, length = a + 0.5 * (lo + hi) * (b - a), (hi - lo) * abs(b - a)
-    near = min(abs(mid - 1.0), abs(mid + 1.0)) - 0.5 * length
-    if length <= max(0.3 * near, 1e-9):
-        return [lo]
-    half = 0.5 * (lo + hi)
-    return _graded_breaks(a, b, lo, half) + _graded_breaks(a, b, half, hi)
-
-
 def amplitude_along(verts, eps: float) -> tuple[dict[int, np.ndarray], float]:
     """A at the nodes of the 8- and 16-point Gauss rules on a contour.
 
-    One `path_cumulative` over the straight route from 0 to the first vertex
-    followed by the vertex polyline `verts`, its segments cut into graded
-    pieces near +-1 (`_graded_breaks`); ln A at the nodes of both rules on
-    the uncut segments comes from the dense output of its sweep on the pieces.
+    `_ln_amplitude` on the polyline from the origin to the first vertex and
+    on along `verts`, at the nodes of both rules on every contour segment.
     The error estimate (relative, as for ln A) adds the ladder allowance to
     the sweep's own.
 
     Returns ({8: A, 16: A}, est_error), each A in the node order of
-    gl_panels(verts, rule).ravel().  A polyline that meets a cut would carry
-    A onto another sheet, so it raises ContourClash.
+    gl_panels(verts, rule).ravel().  A polyline that meets a cut raises
+    ContourClash.
     """
-    pts = np.asarray(verts, dtype=complex)
-    if _meets_cut(pts):
-        raise ContourClash("amplitude polyline meets a cut |Re p| >= 1 of the real axis")
-    route = _route_from_origin(complex(pts[0]), eps)
-    frac = 0.5 * (_TARGETS + 1.0)
-    pieces, seg, u = [route], [], []
-    first = route.size - 1
-    for a, b in zip(pts[:-1], pts[1:]):
-        breaks = np.array(_graded_breaks(a, b) + [1.0])
-        pieces.append(a + breaks[1:] * (b - a))
-        # each node of the segment on the piece that holds it, rescaled to it
-        k = np.searchsorted(breaks, frac, side="right") - 1
-        seg.append(first + k)
-        u.append(2.0 * (frac - breaks[k]) / (breaks[k + 1] - breaks[k]) - 1.0)
-        first += breaks.size - 1
-    sweep, est = path_cumulative(np.concatenate(pieces), eps)
-    amps = np.exp(_dense(sweep, np.array(seg), np.array(u)))
+    pts = np.concatenate([[0.0], np.asarray(verts, dtype=complex)])
+    ln_a, est = _ln_amplitude(pts, np.arange(1, pts.size - 1)[:, None], _TARGETS, eps)
+    amps = np.exp(ln_a)
     return {8: amps[:, :8].ravel(), 16: amps[:, 8:].ravel()}, est + _LADDER_EST

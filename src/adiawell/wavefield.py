@@ -246,7 +246,6 @@ def trace_steepest(
     tau: float,
     eps: float,
     xi: float = 0.0,
-    level: float = _DECAY_LEVEL,
 ) -> np.ndarray:
     """Vertices of the steepest-descent contour through the saddle.
 
@@ -254,7 +253,7 @@ def trace_steepest(
     dp/ds = i conj(S_p)/|S_p| (which keeps Re S frozen and drives Im S up at
     unit rate) with a Heun predictor and a Newton re-projection onto
     Re S = Re S(saddle) after every step.  Tracing stops once
-    Im S - Im S(saddle) >= level * eps; the returned polyline is ordered
+    Im S - Im S(saddle) >= _DECAY_LEVEL * eps; the returned polyline is ordered
     like the original line contour, from the lower-left end to the
     upper-right end, saddle in the middle.
 
@@ -291,7 +290,7 @@ def trace_steepest(
                 p = p - drift * ev.d1.conjugate() / abs(ev.d1) ** 2
                 ev = action(p, n, tau, xi=xi)
             pts.append(p)
-            if ev.value.imag - im0 >= level * eps:
+            if ev.value.imag - im0 >= _DECAY_LEVEL * eps:
                 break
             if len(pts) > _MAX_STEPS or abs(p) > _TRACE_RADIUS:
                 raise TraceDiverged(
@@ -365,12 +364,12 @@ def _inside_weights(
 # the hook contour through p = 1 (its eps-only parts built once per eps)
 # =====================================================================
 
-def _edge_periods(eps: float, level: float) -> int:
-    """Number of eps-periods of the upper edge before Im S outruns level."""
+def _edge_periods(eps: float) -> int:
+    """Number of eps-periods of the upper edge before Im S outruns the decay level."""
     m = 1
     while m < 100000:
         tail = complex(int_l0(1.0 + m * eps, side=1)).imag
-        if tail >= (level + 5.0) * eps:
+        if tail >= (_DECAY_LEVEL + 5.0) * eps:
             return m
         m += 1
     raise TruncationTooSmall("upper edge decay level not reached; eps too large?")
@@ -389,7 +388,7 @@ def _hook_tables(eps: float) -> dict:
     output serves the phase-graded nodes of every (n, tau).
     """
     xs, w = {}, {}
-    halves_count = 2 * _edge_periods(eps, _DECAY_LEVEL)
+    halves_count = 2 * _edge_periods(eps)
     for rule in (8, 16):
         halves = [
             cusp_panels(
@@ -650,7 +649,8 @@ def _contour_sum(sums, u, rules, amp_est: float, pref) -> tuple[np.ndarray, np.n
     coarse, _ = sums(pts, rules[0], False)
     rows = _barycentric(pts, u)
     fine = _real_times(rows, vals)
-    gap = np.abs(fine - _real_times(rows, coarse))
+    # the interpolant of the gap, not the gap of two interpolants of size |psi|
+    gap = np.abs(_real_times(rows, vals - coarse))
     scale = np.maximum(rows @ scale, np.interp(u, pts, scale))
     return pref * fine, np.abs(pref) * (gap + amp_est * scale + tail)
 

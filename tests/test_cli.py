@@ -345,6 +345,10 @@ def test_json_config_rejected(tmp_path, payload):
           "--tau", "-0.5707963267948966", "--xi", "0"], 3),
         # far up the imaginary axis the moment series once overflowed to nan
         (["special", "--fn", "L0", "--z", "1e155j", "--eps", "0.1"], 0),
+        # points far along a cut are refused before any large allocation
+        (["special", "--fn", "L0", "--z", "1e300+0.01j", "--eps", "0.1"], 3),
+        (["special", "--fn", "L0", "--z", "1e9+0.01j", "--eps", "0.1"], 3),
+        (["special", "--fn", "R0", "--z", "1e5+0.01j", "--eps", "0.1"], 3),
     ],
 )
 def test_exit_codes(argv, code):

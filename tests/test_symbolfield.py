@@ -33,7 +33,7 @@ from adiawell import symbolfield as sf
 from adiawell import wavefield as wfd
 from adiawell._panels import cusp_panels
 from adiawell.branches import int_l0, l0, l0_prime, rho0
-from adiawell.errors import ContourClash
+from adiawell.errors import AdiawellError, ContourClash
 from adiawell.special import zeta_fn
 
 # mpmath references (see module docstring)
@@ -530,11 +530,48 @@ def test_r0_nested_reference_and_basics():
 def test_r0_difference_equation():
     eps = 0.1
     rng = np.random.default_rng(42)
-    for _ in range(20):
-        p = rng.uniform(-0.7, 0.7) + 1j * rng.uniform(-0.9, 0.9)
+    points = [rng.uniform(-0.7, 0.7) + 1j * rng.uniform(-0.9, 0.9) for _ in range(20)]
+    # beside the lattice singularities +-(1 + (l + 1/2) eps), above and below the cuts
+    for lo, hi in ((1.0, 1.25), (-1.1, -1.05)):
+        for sign in (1.0, -1.0):
+            points += [complex(rng.uniform(lo, hi), sign * rng.uniform(0.003, 0.05))
+                       for _ in range(5)]
+    for p in points:
         lhs = sf.r0(p + eps / 2, eps).value
         rhs = rho0(p) * sf.r0(p - eps / 2, eps).value
-        assert abs(lhs - rhs) < 1e-9 * max(abs(lhs), abs(rhs))
+        assert abs(lhs - rhs) < 1e-9 * max(abs(lhs), abs(rhs)), p
+
+
+def test_r0_far_up_the_imaginary_axis(monkeypatch):
+    # a piece of the route grows with its distance from +-1, so the route to
+    # 1e5 i takes 71 pieces; a fixed step cap once took 400,000
+    pieces = []
+    grade = sf._graded_route
+
+    def counted(pts, eps):
+        out = grade(pts, eps)
+        pieces.append(out[1].size)
+        return out
+
+    monkeypatch.setattr(sf, "_graded_route", counted)
+    rep = sf.r0(1e5j, 0.1)
+    assert abs(rep.value / (0.7710376897515885 + 0.6367895107353239j) - 1.0) <= 1e-12
+    assert pieces == [71]
+
+
+def test_points_far_along_a_cut_are_refused_before_any_work(monkeypatch):
+    # 1e301 and 1e10 relocation steps, and a route to 1e5 + 0.01i that would
+    # take about 3.7e7 graded pieces
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started on a refused point")
+
+    monkeypatch.setattr(sf, "_relocation_sum", refuse)
+    monkeypatch.setattr(sf, "path_cumulative", refuse)
+    for p in (1e300 + 0.01j, 1e9 + 0.01j, -1e9 - 0.01j):
+        with pytest.raises(AdiawellError, match="relocation steps"):
+            sf.big_l0(p, 0.1)
+    with pytest.raises(AdiawellError, match="graded pieces"):
+        sf.r0(1e5 + 0.01j, 0.1)
 
 
 def test_r0_unimodular_on_interval_and_even():
@@ -571,15 +608,14 @@ def test_sweep_estimate_bounds_its_error(eps):
         wfd.trace_steepest(1, tau, eps, xi=0.05) - 0.5 * eps,
     ]
     polylines = [
-        (np.concatenate([sf._route_from_origin(complex(v[0]), eps), v[1:]]), 0, True)
-        for v in contours
+        (sf._graded_route(np.concatenate([[0.0], v]), eps)[0], 0, True) for v in contours
     ]
     depths = [0.0, 1e-7]
     while depths[-1] < 12.0:
         depths.append(min(2.0 * depths[-1], 12.0))
     polylines.append((1.0 - 1j * np.array(depths), 1, False))
     for z in (0.999 + 0.001j, 1.0 - 0.001j, 1.05 + 0.01j, -0.99 - 0.02j):
-        polylines.append((sf._route_from_origin(z, eps), 0, False))
+        polylines.append((sf._graded_route(np.array([0.0, z]), eps)[0], 0, False))
     for pts, side, on_contour in polylines:
         (_, _, cum), est = sf.path_cumulative(pts, eps, side)
         (_, _, ref), _ = sf.path_cumulative(_cut_in(pts, 4), eps, side)
@@ -593,7 +629,7 @@ def test_route_grades_toward_lattice_singularities():
     # the edge, against the same route cut into 16
     eps = 0.1
     for z in (1.15 + 0.003j, 1.05 + 0.01j):
-        route = sf._route_from_origin(z, eps)
+        route = sf._graded_route(np.array([0.0, z]), eps)[0]
         (_, _, cum), est = sf.path_cumulative(route, eps)
         (_, _, ref), _ = sf.path_cumulative(_cut_in(route, 16), eps)
         assert abs(cum[-1] - ref[-1]) <= 1e-13, z
@@ -741,8 +777,10 @@ def test_edge_tables_work(eps, monkeypatch):
     # L0 ladder points for one build of the hook tables (both edge rules, A(1)
     # and the vertical leg): one real-axis sweep serves the edge and A(1).
     # Below eps = 2/13 every anchor is carried onto the moment series; at
-    # eps 0.2 the leg nodes 6 eps deep take it (117,243 points, against
-    # 120,960 when a side tag kept them on the ladder)
+    # eps 0.2 the leg nodes 6 eps deep take it, and the real-axis route is
+    # graded by distance alone, with the edge's starting points as targets
+    # of its dense output rather than vertices (64,827 points, against
+    # 117,243 with a fixed step cap and a vertex per starting point)
     count = [0]
     raw = sf._l0_raw
 
@@ -752,7 +790,7 @@ def test_edge_tables_work(eps, monkeypatch):
 
     monkeypatch.setattr(sf, "_l0_raw", counted)
     wfd._hook_tables.__wrapped__(eps)
-    assert count[0] <= {0.2: 120_000, 0.125: 0, 0.05: 0}[eps]
+    assert count[0] <= {0.2: 70_000, 0.125: 0, 0.05: 0}[eps]
 
 
 def test_eps_memo_stays_within_its_bound():

@@ -149,9 +149,10 @@ def test_trace_constant_real_part_and_rising_imag():
     assert ev.value.imag[-1] - base >= level - 1e-9
 
 
-def test_trace_diverges_on_unreachable_level():
+def test_trace_diverges_on_unreachable_level(monkeypatch):
+    monkeypatch.setattr(wfd, "_DECAY_LEVEL", 1e7)
     with pytest.raises(TraceDiverged):
-        wfd.trace_steepest(1, -2.0, 0.2, level=1e7)
+        wfd.trace_steepest(1, -2.0, 0.2)
 
 
 @pytest.mark.parametrize("xi", [0.0, 0.05])
