@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.special
 
 from ._panels import gl_panels
 from .errors import ContinuationFailure
@@ -72,8 +71,9 @@ _Z_FLOOR = 1e-9
 _G0_SPLIT = 20.0
 # panel width (in the substituted variable u = sqrt(s)) and rule order
 _G0_PANEL_U = 0.5
-# f_0 = sum_{k>=1} (-1)^(k+1) k^(-3/2) = (1 - 2^(-1/2)) zeta_R(3/2)
-_F0 = float((1.0 - 2.0**-0.5) * scipy.special.zeta(1.5))
+# f_0 = sum_{k>=1} (-1)^(k+1) k^(-3/2) = (1 - 2^(-1/2)) zeta_R(3/2), with
+# zeta_R(3/2) = 2.612375348685488343348567567924071752
+_F0 = (1.0 - 2.0**-0.5) * 2.612375348685488343348567567924071752
 
 
 class RegimeLabel(Enum):

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .asymptotics import outside_leading
 from .errors import LinearSolveFailure
@@ -111,6 +110,10 @@ def potential_on_grid(grid: GridSpec, tau: float) -> np.ndarray:
 
 def step(state: WaveVector, grid: GridSpec, params: ModelParams) -> WaveVector:
     """One Crank-Nicolson step with the potential taken at the midpoint time."""
+    # imported here: scipy.linalg costs a quarter second to import, and only
+    # the walker needs it
+    from scipy.linalg import solve_banded
+
     dx, dt = grid.dx, grid.dt
     tau_mid = params.eps * (state.time + 0.5 * dt)
     v = potential_on_grid(grid, tau_mid)[1:-1]

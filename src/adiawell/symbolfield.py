@@ -92,7 +92,7 @@ from numpy.polynomial.polynomial import polyval
 
 from ._panels import gl_panels, gl_rule
 from .branches import _l0_raw, _q0_raw, int_l0, l0, l0_prime, rho0
-from .errors import AdiawellError, ContourClash
+from .errors import AccuracyLoss, AdiawellError, ContourClash
 from .spectrum import _check_eps
 
 __all__ = [
@@ -505,14 +505,20 @@ def r0(p, eps: float) -> QuadratureReport:
     """R0(p) = exp((i/eps) int_0^p L0) = A(p) exp((i/eps) int_l0(p)).
 
     R0 is even; on the real cuts |p| >= 1 it takes its upper-edge value at |p|.
+    Where the factors over- or underflow, so that R0 comes out inf or nan,
+    AccuracyLoss is raised.
     """
     z = complex(p)
     side = 0
     if z.imag == 0.0 and abs(z.real) >= 1.0:
         z, side = complex(abs(z.real)), 1
-    rep = amplitude_a(z, eps)
-    val = rep.value * np.exp(1j / eps * int_l0(z, side=side))
-    return QuadratureReport(complex(val), rep.est_error)
+    # a factor that over- or underflows is caught by the check below
+    with np.errstate(all="ignore"):
+        rep = amplitude_a(z, eps)
+        val = complex(rep.value * np.exp(1j / eps * int_l0(z, side=side)))
+    if not np.isfinite(val):
+        raise AccuracyLoss(f"R0 at p = {complex(p)}, eps = {eps} is not finite in double precision")
+    return QuadratureReport(val, rep.est_error)
 
 
 # =====================================================================

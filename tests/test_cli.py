@@ -349,6 +349,10 @@ def test_json_config_rejected(tmp_path, payload):
         (["special", "--fn", "L0", "--z", "1e300+0.01j", "--eps", "0.1"], 3),
         (["special", "--fn", "L0", "--z", "1e9+0.01j", "--eps", "0.1"], 3),
         (["special", "--fn", "R0", "--z", "1e5+0.01j", "--eps", "0.1"], 3),
+        # R0 that over- or underflows is refused, not printed as nan
+        (["special", "--fn", "R0", "--z", "15", "--eps", "0.1"], 3),
+        (["special", "--fn", "R0", "--z", "1e200j", "--eps", "0.1"], 3),
+        (["special", "--fn", "R0", "--z=30-0.1j", "--eps", "0.1"], 3),
     ],
 )
 def test_exit_codes(argv, code):
@@ -365,12 +369,40 @@ def _source_env():
 
 def test_cli_import_loads_no_symbolic_packages():
     # set-up time: the series coefficients come from integer algebra and a
-    # table of Bernoulli numbers, not from mpmath or sympy
-    code = "import sys, adiawell.cli; print(sorted({'mpmath', 'sympy'} & set(sys.modules)))"
+    # table of Bernoulli numbers, not from mpmath or sympy; the Airy pair and
+    # zeta_R(3/2) need no scipy
+    code = ("import sys, adiawell.cli; "
+            "print(sorted({'mpmath', 'sympy', 'scipy'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_source_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_transition_requests_load_no_scipy():
+    # a compare in the transition window and one in the aftermath window
+    # (eps 0.125, tau_1 - 0.1 and tau_1 + 0.5) evaluate F; only the oracle's
+    # banded solve needs scipy
+    requests = [
+        ["compare", "--eps", "0.125", "--n", "1", "--t", "-5.366", "--x-steps", "3"],
+        ["compare", "--eps", "0.125", "--n", "1", "--t", "-0.566", "--x-steps", "3"],
+        ["special", "--fn", "transition", "--z", "0.5,-3+2j"],
+    ]
+    code = ("import contextlib, io, json, sys; from adiawell.cli import run\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            f"    codes = [run(argv) for argv in {requests!r}]\n"
+            "print(json.dumps({'codes': codes,\n"
+            "                  'regimes': sorted({line.rsplit(',', 1)[-1]\n"
+            "                                     for line in out.getvalue().splitlines()}),\n"
+            "                  'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_source_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["codes"] == [0, 0, 0]
+    assert {"transition", "aftermath"} <= set(seen["regimes"])
+    assert seen["scipy"] == []
 
 
 def test_console_script_usage_error():

@@ -1,8 +1,9 @@
 """Tests for the special functions.
 
-The Airy pair comes from scipy.special.airy; the transition profile built
-on it is checked against direct contour quadrature of the Airy integrals
-(scipy.integrate.quad) and against frozen 30-digit mpmath values.  The
+The transition profile is computed with numpy alone.  It is checked against
+three references that share none of its code: direct contour quadrature of
+the Airy integrals (scipy.integrate.quad), scipy.special.airy (AMOS), and
+frozen 30-digit mpmath values.  scipy is used by the tests only.  The
 moment integral is checked against plain quadrature, and the lattice sum
 against frozen mpmath Hurwitz-zeta values.
 """
@@ -15,7 +16,15 @@ import scipy.special
 from scipy.integrate import quad
 
 from adiawell.errors import AccuracyLoss, OnCut
-from adiawell.special import a_fn, f_transition, zeta_fn
+from adiawell.special import (
+    _SERIES_KAPPA,
+    _SERIES_ZETA,
+    _f_bessel,
+    _f_series,
+    a_fn,
+    f_transition,
+    zeta_fn,
+)
 
 # mpmath 30 digits, frozen:
 #   zeta references via the Hurwitz identity zeta(t) = zeta_H(1/2, 1/2 - t)
@@ -35,6 +44,49 @@ F_FROZEN = {
     6.0: 1.268537305176844473 + 2.0954271914556902632j,
 }
 A0_FROZEN = 0.93889294010174456634  # a(0) = Gamma(2/3) / 3^{1/3}
+#   F at the double nearest exp(i pi/6) Z (ROT * Z below), out to |z^2| = 2^20
+F_FROZEN_FAR = {
+    -1024.0: 2.5298058001969569267e-18 - 3.7252902984619138267e-9j,
+    -512.0: 1.1448591258122006231e-16 - 2.1073424255447013309e-8j,
+    -100.0: 9.1145833370786275615e-13 - 1.249999999998642097e-6j,
+    -30.0: 6.8480972168388417782e-10 - 2.5357525772643574591e-5j,
+    -10.0: 2.8822746954427408539e-7 - 3.9528427818366208174e-4j,
+    10.0: 8.5178769139443982373e-1 - 3.0453994623085489309j,
+    30.0: -4.8332946139086203876 + 2.5766767696774456434j,
+    100.0: -8.4166056640114169045 + 5.4000693513947826868j,
+    512.0: -2.2488438649718473625e+1 - 2.5040135669338690382j,
+    1024.0: 2.0212721824128994615e+1 + 2.4808167727368164555e+1j,
+}
+#   F off the ray, keyed by z
+F_FROZEN_OFF = {
+    -1.5 + 1.6j: -2.9312431911218161055e-3 + 1.8278923059812934608e-2j,
+    -3.3 - 10j: -3.3668531150476318259e-4 + 8.6217113524772237562e-5j,
+    -10.0 + 0j: 3.8153771422822307868e-4 - 1.0223272240946884951e-4j,
+    -12.0 + 0j: 2.4194549236948997352e-4 - 6.4829099292755199345e-5j,
+    7j: 1.81277381354184331 - 1.9268347404408921906j,
+    3 + 4j: -4.2562272399258298185e+67 - 1.182813178862880417e+68j,
+    -5 + 5j: -1.21525794766330759e-4 + 9.3364696939615791296e-4j,
+    -8.4 + 4.85j: 2.1357521141211471071e-4 + 3.6929046709366094178e-4j,
+    2.5 - 1.2j: -1.3017398504417326092e-3 + 2.3390085887477326651e-3j,
+}
+#   F at r exp(i (k pi/3 + side 1e-6)), keyed by (r, k, side): both sides of
+#   the Stokes line |arg z^2| = 2 pi/3, where the quadrature switches formula
+F_FROZEN_STOKES = {
+    (3.3, 1, -1): 1.1314033305934926105e+21 + 3.0298369325907953849e+20j,
+    (3.3, 1, 1): 1.1313158728498249383e+21 + 3.0331009000192102788e+20j,
+    (5.0, 1, -1): 5.209883518776051297e+72 + 1.3931896930946155111e+72j,
+    (5.0, 1, 1): 5.2084863245653133612e+72 + 1.3984040928771989964e+72j,
+    (8.0, 1, -1): 8.2238428686458611121e+296 + 2.1855258650369058706e+296j,
+    (8.0, 1, 1): 8.2148197734979074437e+296 + 2.2192005145699656234e+296j,
+    (3.3, 2, -1): -4.562650645864983752e-3 + 4.5626272388809898379e-3j,
+    (3.3, 2, 1): -4.5626272388809955804e-3 + 4.5626506458649780358e-3j,
+    (8.0, 2, -1): -4.8897989410178680714e-4 + 4.8897744501167482996e-4j,
+    (8.0, 2, 1): -4.8897744501167535594e-4 + 4.889798941017863204e-4j,
+    (30.0, 2, -1): -1.7931007543785101941e-5 + 1.7930917886065775574e-5j,
+    (30.0, 2, 1): -1.7930917886065792895e-5 + 1.7931007543785081127e-5j,
+}
+ROT = np.exp(1j * np.pi / 6.0)
+ULP = np.finfo(float).eps
 
 
 def airy_contour_oracle(z: complex) -> tuple[complex, complex]:
@@ -87,7 +139,7 @@ def test_f_transition_matches_mpmath_on_the_ray():
 
 
 def test_f_transition_out_of_airy_range_raises():
-    # scipy.special.airy gives NaN at |z^2| = 1e10; the true |F| is about 316
+    # |z^2| = 1e10 is past the range 2^20 that AMOS accepts; the true |F| is about 316
     with pytest.raises(AccuracyLoss):
         f_transition(np.exp(1j * np.pi / 6.0) * 1e5)
 
@@ -119,6 +171,105 @@ def test_f_transition_at_zero():
     # F(0) = -sqrt(pi) e^{-i pi/12} Ai'(0) > 0 up to the phase factor
     want = -np.sqrt(np.pi) * np.exp(-1j * np.pi / 12.0) * scipy.special.airy(0)[1]
     assert abs(f_transition(0.0) - want) < 1e-13
+
+
+def scipy_transition(z):
+    """F from scipy.special.airy, and the rounding scale of that evaluation.
+
+    The scale is eps times S = sqrt(pi) |exp(-2 z^3/3)| (|z Ai| + |Ai'|), the
+    size of the two terms the formula subtracts, and |z|^3 |F|, the size of
+    the phases it rounds.  Against mpmath at the same double z, scipy's own
+    error reaches 5.4e-11 relative on the ray (Z = -30) and 3.0e-10 off it
+    (z = -10), so a bare relative bound cannot hold against it.
+    """
+    with np.errstate(all="ignore"):
+        ai, aip, _, _ = scipy.special.airy(z * z)
+        pref = np.sqrt(np.pi) * np.exp(-2.0 * z**3 / 3.0 - 1j * np.pi / 12.0)
+        f = pref * (z * ai - aip)
+        terms = np.abs(pref) * (np.abs(z * ai) + np.abs(aip))
+    return f, terms, np.abs(z) ** 3
+
+
+def test_f_transition_matches_scipy_on_the_ray():
+    # 1e-12 relative, plus scipy's own rounding: eps (S + |z|^3 |F|), which
+    # bounds scipy's measured error within a factor 3.7 here
+    z = ROT * np.linspace(-30.0, 30.0, 601)
+    want, terms, cube = scipy_transition(z)
+    tol = 1e-12 * np.abs(want) + 8.0 * ULP * (terms + cube * np.abs(want))
+    assert np.all(np.abs(f_transition(z) - want) <= tol)
+
+
+def test_f_transition_matches_scipy_off_the_ray():
+    # |z| <= 10 at every phase, wherever scipy's F is finite and normal.  Off
+    # the ray scipy's error also grows with |z|^3 where the terms cancel (on
+    # the negative real axis it is 3.0e-10 at z = -10): eps S (1 + |z|^3)
+    # bounds its measured error within a factor 21
+    radius = np.linspace(0.1, 10.0, 34)
+    phase = np.linspace(-np.pi, np.pi, 145)
+    z = (radius[:, None] * np.exp(1j * phase)).ravel()
+    want, terms, cube = scipy_transition(z)
+    keep = np.isfinite(want) & (np.abs(want) >= np.finfo(float).tiny)
+    z, want, terms, cube = z[keep], want[keep], terms[keep], cube[keep]
+    assert z.size > 4600
+    tol = 1e-11 * np.abs(want) + 32.0 * ULP * terms * (1.0 + cube)
+    assert np.all(np.abs(f_transition(z) - want) <= tol)
+
+
+def series_seam_points():
+    """Points z on the seam of the Maclaurin series.
+
+    The series serves w = z^2 where kappa = (|zeta| + Re zeta)/2 <= _SERIES_KAPPA
+    and |zeta| <= _SERIES_ZETA, with zeta = (2/3) w^1.5.  Both signs of z and
+    both half-planes of w are taken.
+    """
+    out = []
+    for arg_w in (0.0, 0.6, 1.2, 1.7, 2.0, 2.3, 2.6, 3.0):
+        half = np.cos(0.75 * arg_w) ** 2  # (1 + cos(arg zeta))/2
+        size = min(_SERIES_KAPPA / half, _SERIES_ZETA)
+        root = (1.5 * size) ** (1.0 / 3.0) * np.exp(0.5j * arg_w)
+        out += [root, -root, np.conj(root), -np.conj(root)]
+    return out
+
+
+def test_f_transition_routes_agree_on_the_series_seam():
+    # both routes hold on the seam.  Where z = -sqrt(w) the series subtracts
+    # terms up to 6 |zeta| exp(2 kappa) times larger than F, so it is good to
+    # about 1e-13 there
+    for z in series_seam_points():
+        bessel = _f_bessel(complex(z))
+        assert abs(_f_series(complex(z)) - bessel) <= 5e-13 * abs(bessel), z
+
+
+def test_f_transition_matches_scipy_on_both_sides_of_the_series_seam():
+    for z in series_seam_points():
+        side = z * np.array([1.0 - 1e-9, 1.0 + 1e-9])
+        want, terms, cube = scipy_transition(side)
+        tol = 1e-12 * np.abs(want) + 32.0 * ULP * terms * (1.0 + cube)
+        assert np.all(np.abs(f_transition(side) - want) <= tol), z
+
+
+def test_f_transition_matches_frozen_mpmath_across_the_stokes_switch():
+    for (radius, k, side), want in F_FROZEN_STOKES.items():
+        z = radius * np.exp(1j * (k * np.pi / 3.0 + side * 1e-6))
+        assert abs(f_transition(z) - want) <= 1e-13 * abs(want), (radius, k, side)
+
+
+def test_f_transition_matches_frozen_mpmath_far_out():
+    # each value within twice scipy's own error there, or 1e-13 where scipy
+    # is better than that or gives no value (|z^2| = 2^20, the negative axis)
+    cases = [(ROT * big_z, want) for big_z, want in F_FROZEN_FAR.items()]
+    cases += list(F_FROZEN_OFF.items())
+    for z, want in cases:
+        own, _, _ = scipy_transition(np.complex128(z))
+        scipy_err = abs(own - want) if np.isfinite(own) else 0.0
+        tol = max(2.0 * scipy_err, 1e-13 * abs(want))
+        assert abs(f_transition(z) - want) <= tol, z
+
+
+def test_f_transition_overflow_raises():
+    # at z = 10 exp(i pi/3) the factor exp(-4 z^3/3) is exp(1333)
+    with pytest.raises(AccuracyLoss):
+        f_transition(10.0 * np.exp(1j * np.pi / 3.0))
 
 
 # ---------------------------------------------------------------------
