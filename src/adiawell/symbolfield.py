@@ -66,14 +66,14 @@ Evaluation strategy
   `path_cumulative` bounds a sweep's error by the top Legendre coefficients
   of the degree-15 interpolants of g, whose partial integrals give ln A
   anywhere inside a piece (dense output).
-* The amplitude on the upper edge of [1, inf) - needed by the post-threshold
-  contour - is carried there from the real axis just below 1 by the exact
-  recursion A(p + eps) = rho0(p + eps/2) A(p) exp((i/eps)(int_l0(p) -
-  int_l0(p + eps))), which follows from the R0 difference equation.  One
-  sweep along the interval gives A at the real points asked for below 1 and
-  at every starting point in [1 - eps, 1), so no quadrature runs along the
-  edge, where the integrand has inverse-sqrt singularities at the lattice
-  points 1 + (l + 1/2) eps.
+* On the upper edge of [1, inf), which the hook and the lattice route read,
+  ln R0 is carried from the real axis just below 1 by the exact difference
+  equation R0(p + eps/2) = rho0(p) R0(p - eps/2): ln rho0 = i l0 there, so
+  each period adds i l0, summed by the stepper that relocates L0.  One sweep
+  along the interval gives ln A at every starting point in [1 - eps, 1), so
+  no quadrature meets the edge's inverse-sqrt singularities at the lattice
+  points 1 + (l + 1/2) eps, and R0 is one exp, so it underflows only where
+  its value does.
 
 All heavy entry points are vectorized over arrays of evaluation points and
 share one batched kernel call; scalar wrappers return a QuadratureReport with
@@ -91,7 +91,7 @@ from numpy.polynomial.legendre import legint, legvander
 from numpy.polynomial.polynomial import polyval
 
 from ._panels import gl_panels, gl_rule
-from .branches import _l0_raw, _q0_raw, int_l0, l0, l0_prime, rho0
+from .branches import _l0_raw, _q0_raw, int_l0, l0, l0_prime
 from .errors import AccuracyLoss, AdiawellError, ContourClash
 from .spectrum import _check_eps
 
@@ -145,9 +145,9 @@ _LADDER_EST = 2e-11
 _ANCHOR_BLOCK = 512
 # relocation steps per block: each complex temporary of l0' stays at 0.5 MB
 _STEP_BLOCK = 32768
-# refusal bounds, checked before any large allocation: relocation steps of
-# one L0 batch (about 0.05 s per million) and graded pieces of one amplitude
-# route (16 L0 points each)
+# refusal bounds, checked before any large allocation: difference-equation
+# steps of one L0 or edge R0 batch (about 0.05 s per million) and graded
+# pieces of one amplitude route (16 L0 points each)
 _MAX_STEPS = 10**7
 _MAX_PIECES = 2**14
 
@@ -294,13 +294,15 @@ def _by_series(anchor: np.ndarray, eps: float) -> np.ndarray:
     return clear >= _SERIES_D * eps
 
 
-def _relocation_sum(z: np.ndarray, eps: float, side, sgn: np.ndarray, m_steps: np.ndarray):
-    """sum_{j=1..M} l0'(p - s (j - 1/2) eps) at each point, M = m_steps >= 1.
+def _relocation_sum(z: np.ndarray, eps: float, side, sgn: np.ndarray, m_steps, summand):
+    """sum_{j=1..M} summand(p - s (j - 1/2) eps) at each point, M = m_steps >= 1.
 
-    The steps of all points are laid end to end and taken _STEP_BLOCK at a
-    time, so l0' is called once per block and the working set stays a few
-    MB however many steps a point needs.  Each point's steps within a block
-    are summed pairwise (np.add.reduceat), then the blocks are added.
+    The summand is l0' to relocate L0, and l0 to step ln R0 along the upper
+    edge (`_ln_r0_real`).  The steps of all points are laid end to end and
+    taken _STEP_BLOCK at a time, so the summand is called once per block and
+    the working set stays a few MB however many steps a point needs.  Each
+    point's steps within a block are summed pairwise (np.add.reduceat), then
+    the blocks are added.
     """
     ends = np.cumsum(m_steps)
     starts = ends - m_steps
@@ -312,7 +314,7 @@ def _relocation_sum(z: np.ndarray, eps: float, side, sgn: np.ndarray, m_steps: n
         owner = np.repeat(pts, np.minimum(ends[pts], hi) - first)
         j = np.arange(lo, hi) - starts[owner] + 1
         mids = z[owner] - sgn[owner] * (j - 0.5) * eps
-        total[pts] += np.add.reduceat(l0_prime(mids, side[owner]), first - lo)
+        total[pts] += np.add.reduceat(summand(mids, side[owner]), first - lo)
     return total
 
 
@@ -334,7 +336,7 @@ def _big_l_values(p, eps: float, side=0) -> np.ndarray:
     moved = m_steps > 0
     if np.any(moved):
         zm, sm, gm = z[moved], side_arr[moved], sgn[moved]
-        steps = _relocation_sum(zm, eps, sm, gm, m_steps[moved])
+        steps = _relocation_sum(zm, eps, sm, gm, m_steps[moved], l0_prime)
         out[moved] += l0(anchor[moved]) - l0(zm, sm) + gm * eps * steps
     return out
 
@@ -486,92 +488,97 @@ def _ln_amplitude(pts: np.ndarray, seg, frac, eps: float):
 
 
 def amplitude_a(p, eps: float) -> QuadratureReport:
-    """A(p) = exp((i/eps) int_0^p (L0 - l0)) for p off the cuts.
-
-    Points on the upper edge of [1, inf) are served by upper_edge_amplitude.
-    """
+    """A(p) = exp((i/eps) int_0^p (L0 - l0)), off the cuts or on the upper edge of [1, inf)."""
     _check_eps(eps)
     z = complex(p)
     if z == 0.0:
         return QuadratureReport(1.0 + 0.0j, 0.0)
     if z.imag == 0.0 and z.real >= 1.0:
-        val, est = _real_amplitude(eps, np.array([z.real]))
-        return QuadratureReport(complex(val[0]), est + _LADDER_EST)
-    ln_a, est = _ln_amplitude(np.array([0.0, z]), 0, 1.0, eps)
+        ln_r0, est = _ln_r0_real(eps, np.array([z.real]))
+        ln_a = ln_r0[0] - (1j / eps) * int_l0(z.real, side=1)
+    else:
+        ln_a, est = _ln_amplitude(np.array([0.0, z]), 0, 1.0, eps)
     return QuadratureReport(complex(np.exp(ln_a)), est + _LADDER_EST)
 
 
 def r0(p, eps: float) -> QuadratureReport:
     """R0(p) = exp((i/eps) int_0^p L0) = A(p) exp((i/eps) int_l0(p)).
 
-    R0 is even; on the real cuts |p| >= 1 it takes its upper-edge value at |p|.
-    Where the factors over- or underflow, so that R0 comes out inf or nan,
-    AccuracyLoss is raised.
+    R0 is even; on the real cuts |p| >= 1 it is exp(ln R0(|p|)) on the upper
+    edge.  Elsewhere the two factors stay apart: a phase reaches 2.4e7 rad at
+    1e5 i.  The bar adds the exponent's rounding, 2^-52 |ln R0| or 2^-52
+    |(i/eps) int_l0(p)|.  Where R0 comes out inf or nan, AccuracyLoss is raised.
     """
+    _check_eps(eps)
     z = complex(p)
-    side = 0
     if z.imag == 0.0 and abs(z.real) >= 1.0:
-        z, side = complex(abs(z.real)), 1
-    # a factor that over- or underflows is caught by the check below
-    with np.errstate(all="ignore"):
-        rep = amplitude_a(z, eps)
-        val = complex(rep.value * np.exp(1j / eps * int_l0(z, side=side)))
+        ln_r0, est = _ln_r0_real(eps, np.array([abs(z.real)]))
+        exponent, val, est = ln_r0[0], np.exp(ln_r0[0]), est + _LADDER_EST
+    else:
+        # a factor that over- or underflows is caught by the check below
+        with np.errstate(all="ignore"):
+            rep = amplitude_a(z, eps)
+            exponent = 1j / eps * int_l0(z)
+            val, est = rep.value * np.exp(exponent), rep.est_error
     if not np.isfinite(val):
         raise AccuracyLoss(f"R0 at p = {complex(p)}, eps = {eps} is not finite in double precision")
-    return QuadratureReport(val, rep.est_error)
+    return QuadratureReport(complex(val), est + 2.0**-52 * abs(exponent))
 
 
 # =====================================================================
-# the real axis and the upper edge of [1, inf): one sweep + exact recursion
+# the real axis and the upper edge of [1, inf): one sweep + exact steps
 # =====================================================================
 
 
-def _real_amplitude(eps: float, xs: np.ndarray) -> tuple[np.ndarray, float]:
-    """A at real points xs >= 0, on the upper edge past 1, and the bar of its sweep.
+def _ln_r0_real(eps: float, xs: np.ndarray) -> tuple[np.ndarray, float]:
+    """ln R0 at real points xs >= 0, on the upper edge past 1, and the bar of its sweep.
 
     Every x is written as x0 + m eps with x0 in [0, 1) and m as small as
     that allows, so m = 0 below 1 - eps and x0 is in [1 - eps, 1) on the
     edge.  ln A(x0) comes from `_ln_amplitude` on the segment from the
-    origin to the largest x0, at the fractions x0 / max x0.  Each period is
-    then one exact step of the R0 difference equation,
-    A(p + eps) = rho0(p + eps/2) A(p) exp((i/eps)(int_l0(p) - int_l0(p + eps))).
-    The steps use the exact x0 and take their rho0 midpoints as
-    x - (m - j - 1/2) eps, the rounding by which the relocation sum of L0
-    places its singularities, so A stays consistent with L0 at the sqrt cusps
-    1 + (l + 1/2) eps, where a shift of one ulp moves A by about 1e-8.
+    origin to the largest x0, at the fractions x0 / max x0, and each period
+    is one step of the difference equation (module docstring), so
+
+        ln R0(x) = ln A(x0) + (i/eps) int_l0(x0) + i sum_{j=1..m} l0(x - (j - 1/2) eps),
+
+    the sum taken by `_relocation_sum` in one pass, at the midpoints where
+    the relocation of L0 places its singularities: at the sqrt cusps
+    1 + (l + 1/2) eps a shift of one ulp moves R0 by about 1e-8.  More than
+    _MAX_STEPS steps in all are refused before the sweep.
     """
     xs = np.asarray(xs, dtype=float)
-    m = np.maximum(np.floor((xs - 1.0) / eps + 1e-12).astype(int) + 1, 0)
+    m = np.maximum(np.floor((xs - 1.0) / eps + 1e-12) + 1.0, 0.0)
+    if not np.sum(m) <= _MAX_STEPS:
+        raise AdiawellError(f"R0 on the cut needs more than {_MAX_STEPS} steps; "
+                            "the points lie too far along it")
+    m = m.astype(int)
     x0 = xs - m * eps
     ln_a, est = _ln_amplitude(np.array([0.0, x0.max()]), 0, x0 / x0.max(), eps)
-    out = np.exp(ln_a)
-    for j in range(int(m.max())):
-        mask = m > j
-        out[mask] *= rho0(xs[mask] - (m[mask] - j - 0.5) * eps, side=1)
-    # the int_l0 phases of the steps telescope into one closed form
-    phase = (1j / eps) * (int_l0(x0, side=1) - int_l0(xs, side=1))
-    return out * np.exp(phase), est
+    out = ln_a + (1j / eps) * int_l0(x0, side=1)
+    on = m > 0
+    if np.any(on):
+        up = np.ones(np.count_nonzero(on))  # upper edge, stepping toward the origin
+        out[on] += 1j * _relocation_sum(xs[on], eps, up, up, m[on], l0)
+    return out, est
 
 
 def upper_edge_amplitude(eps: float, xs: np.ndarray) -> np.ndarray:
     """A on the upper edge of [1, inf) at the points xs (array, each >= 1).
 
-    One amplitude sweep along the real axis just below 1, then one exact
-    recursion step per eps-period (see `_real_amplitude`), so an edge segment
-    of any length costs O(length/eps) closed-form factors.  The lattice
-    singularities 1 + (l + 1/2) eps of L0 are never met by a quadrature:
-    A is evaluated there as anywhere else.
+    exp(ln R0 - (i/eps) int_l0), with ln R0 from `_ln_r0_real`: one sweep
+    below 1 and one l0 value per eps-period, none of them a quadrature at
+    the lattice singularities 1 + (l + 1/2) eps of L0.
     """
     if np.any(np.asarray(xs) < 1.0 - 1e-12):
         raise ContourClash("upper_edge_amplitude expects points at or past 1")
-    return _real_amplitude(eps, xs)[0]
+    return np.exp(_ln_r0_real(eps, xs)[0] - (1j / eps) * int_l0(xs, side=1))
 
 
 def _lnA_at_one(eps: float) -> complex:
-    """A logarithm of A(1): one recursion step from A(1 - eps) on the real axis.
+    """A logarithm of A(1): ln R0(1), one step from 1 - eps, less (i/eps) int_l0(1).
 
     A reference, not memoized: the hook reads A(1) from `wavefield._hook_tables`."""
-    return complex(np.log(upper_edge_amplitude(eps, np.array([1.0]))[0]))
+    return complex(_ln_r0_real(eps, np.array([1.0]))[0][0] - (1j / eps) * int_l0(1.0))
 
 
 def amplitude_along(verts, eps: float) -> tuple[dict[int, np.ndarray], float]:

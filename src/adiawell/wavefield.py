@@ -101,9 +101,9 @@ from .symbolfield import (
     _LADDER_EST,
     _dense,
     _g_values,  # noqa: F401  (unused here; adiabench/tracing.py wraps it)
+    _ln_r0_real,
     _lnA_at_one,  # noqa: F401  (unused here; adiabench/tracing.py wraps it)
     _meets_cut,
-    _real_amplitude,
     amplitude_along,
     path_cumulative,
     r0,
@@ -383,7 +383,8 @@ def _hook_tables(eps: float) -> dict:
     per half-period (A has a sqrt cusp at each mid-period point, and the
     first half-period meets the action's 3/2-power cusp at 1), their weights
     times A ("wa") and int_l0 ("il").  One `upper_edge_amplitude` call gives
-    A there and at 1 ("ln_one").  "leg": one sweep down the vertical leg at
+    A there and at 1 ("a_one", the factor of the leg's values), each one exp
+    of ln R0 less its phase.  "leg": one sweep down the vertical leg at
     depths "leg_y" doubling from 1e-7, with its bar "leg_est"; its dense
     output serves the phase-graded nodes of every (n, tau).
     """
@@ -412,7 +413,7 @@ def _hook_tables(eps: float) -> dict:
         for rule, a in ((8, amp8), (16, amp16))
     }
     return {
-        "edge": edge, "ln_one": complex(np.log(amp_one[0])),
+        "edge": edge, "a_one": complex(amp_one[0]),
         "leg": leg, "leg_y": np.array(leg_y), "leg_est": leg_est,
     }
 
@@ -490,7 +491,7 @@ def _gamma_weights(n: int, tau: float, eps: float) -> tuple[list[tuple], float]:
         ys, w = (a.ravel() for a in cusp_panels(edges, rule, at_start=True))
         p_m = 1.0 - 1j * ys
         s_minus = p_m**2 * one_m_tau - two_pi_n * p_m + np.asarray(int_l0(p_m))
-        amp = np.exp(tables["ln_one"] + _leg_ln_amplitude(eps, ys))
+        amp = tables["a_one"] * np.exp(_leg_ln_amplitude(eps, ys))
         w_minus = 1j * w * amp * np.exp(1j * s_minus / eps)
 
         plus = tables["edge"][rule]
@@ -820,23 +821,13 @@ def outgoing_factor(p, eps: float):
     return complex(out) if np.ndim(p) == 0 else out
 
 
-def _r_real(ks: np.ndarray, eps: float) -> np.ndarray:
-    """Boundary values R(k) on the real axis, batched (R is even).
-
-    A comes from one real-axis sweep, carried onto the edge past 1 by the
-    per-period recursion (`_real_amplitude`).
-    """
-    av = np.abs(np.asarray(ks, dtype=float))
-    amps, _ = _real_amplitude(eps, av)
-    return amps * np.exp(1j / eps * np.asarray(int_l0(av, side=1)))
-
-
 def _lattice_terms(eps: float, t: float, offsets):
     """k = p + eps l, p1(k) and the phases of sin(kx) and e^{i p1 x}, a row per offset p.
 
     Terms beyond |k| = 1 + 16 eps are dropped (R decays superexponentially
     past the branch point, reaching ~1e-3 per step of eps), and shorter rows
-    are padded with terms of phase 0.  R comes from one `_r_real` call.
+    are padded with terms of phase 0.  R, which is even, comes from one
+    `_ln_r0_real` call at |k|.
     """
     p = np.atleast_1d(np.asarray(offsets, dtype=float))[:, None]
     edge = 1.0 - eps * t
@@ -846,7 +837,7 @@ def _lattice_terms(eps: float, t: float, offsets):
     ks = p + eps * ell
     live = (lo <= ell) & (ell <= hi)
     r_k = np.zeros(ks.shape, dtype=complex)
-    r_k[live] = _r_real(ks[live], eps)
+    r_k[live] = np.exp(_ln_r0_real(eps, np.abs(ks[live]))[0])
     p1 = outgoing_momentum(ks, eps)
     phase_in = np.exp(1j * t) * np.exp(1j * ks**2 * edge / eps) * r_k
     phase_out = np.exp(1j * p1**2 * edge / eps) * outgoing_factor(ks, eps) * r_k

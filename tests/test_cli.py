@@ -15,6 +15,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,23 @@ def test_special_r0_on_the_cuts_and_off_axis(tmp_path):
                 "--out", str(out)]) == 0
     [value] = _complex_rows(out)
     assert abs(value - R0_NESTED_REF) / abs(R0_NESTED_REF) < 1e-9
+    # far along the cut R0 is subnormal, then zero, not a refusal
+    assert run(["special", "--fn", "R0", "--z", "15,30", "--eps", "0.1",
+                "--out", str(out)]) == 0
+    assert _complex_rows(out) == [3.520286902e-314 - 8.9668517936e-314j, 0.0]
+
+
+def test_special_r0_far_along_the_cut_is_fast(tmp_path):
+    # 30,000 steps of R0's difference equation in one blocked pass take a few
+    # ms; a per-period Python loop took 0.9 s
+    argv = ["special", "--fn", "R0", "--z", "3000", "--eps", "0.1",
+            "--out", str(tmp_path / "R0.csv")]
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        assert run(argv) == 0
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.1
 
 
 # =====================================================================
@@ -349,10 +367,15 @@ def test_json_config_rejected(tmp_path, payload):
         (["special", "--fn", "L0", "--z", "1e300+0.01j", "--eps", "0.1"], 3),
         (["special", "--fn", "L0", "--z", "1e9+0.01j", "--eps", "0.1"], 3),
         (["special", "--fn", "R0", "--z", "1e5+0.01j", "--eps", "0.1"], 3),
-        # R0 that over- or underflows is refused, not printed as nan
-        (["special", "--fn", "R0", "--z", "15", "--eps", "0.1"], 3),
+        # R0 on the cut is one exp of ln R0, so a subnormal value is printed;
+        # R0 that over- or underflows off the cut is refused, not printed as nan
+        (["special", "--fn", "R0", "--z", "15", "--eps", "0.1"], 0),
         (["special", "--fn", "R0", "--z", "1e200j", "--eps", "0.1"], 3),
         (["special", "--fn", "R0", "--z=30-0.1j", "--eps", "0.1"], 3),
+        # 1e10 steps of the edge difference equation are refused before any sweep
+        (["special", "--fn", "R0", "--z", "1e9", "--eps", "0.1"], 3),
+        # R0(30) = exp(-1856.8 + 922.4i) underflows to zero
+        (["special", "--fn", "R0", "--z", "30", "--eps", "0.1"], 0),
     ],
 )
 def test_exit_codes(argv, code):

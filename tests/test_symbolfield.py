@@ -17,7 +17,10 @@ past the cuts the line runs through the anchor near Re p = +-0.5 instead,
 and the relocation sum is added in mpmath (48 digits agree to 1e-36).  The
 upper-edge amplitude, which the code carries from the real axis by a
 recursion, is checked against a quadrature along a graded route through
-the upper half plane built here.  Everything else is checked
+the upper half plane built here.  Its logarithmic stepper is checked
+against the per-period rho0 loop kept here as a reference, and at R0(15)
+and beside the edge cusps against rho0 products in 30-40 digit mpmath,
+at the code's own float midpoints.  Everything else is checked
 against defining identities (difference equations, symmetry laws) or
 scaling forms whose constants the tests measure rather than assume.
 """
@@ -26,8 +29,11 @@ from __future__ import annotations
 
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiawell import symbolfield as sf
 from adiawell import wavefield as wfd
@@ -40,6 +46,11 @@ from adiawell.special import zeta_fn
 L0_INTERIOR_REF = 0.5611473420277146809637 + 0.8098801341855701512976j  # p=0.3+0.4j, eps=0.1
 L0_RELOCATED_REF = 3.006308680843562636191 + 2.140589985995586533438j  # p=1.7+0.02j, eps=0.1
 R0_NESTED_REF = -0.00029317010883591661691 + 0.00047730702917243011217j  # p=0.5+0.8j, eps=0.1
+# R0(15) at eps 0.1 and its logarithm by the per-period rho0 recursion in
+# 30-digit mpmath, from the double sweep's ln A(15 - 141 eps) at the same float
+# midpoints; mpmath numbers do not underflow, and R0 is subnormal here
+R0_15_REF = 3.5202869023637e-314 - 8.96685179369447e-314j
+LN_R0_15_REF = -720.74651284730536134 + 451.19264704719326041j
 # straight-ladder and collar points, 30 digits (40 digits agree to 1e-30)
 L0_LADDER_REFS = {
     (0.8 + 0.05j, 0.2): 1.835301832463188497091 + 0.1616922320604303181053j,
@@ -570,8 +581,45 @@ def test_points_far_along_a_cut_are_refused_before_any_work(monkeypatch):
     for p in (1e300 + 0.01j, 1e9 + 0.01j, -1e9 - 0.01j):
         with pytest.raises(AdiawellError, match="relocation steps"):
             sf.big_l0(p, 0.1)
+    # 1e10 steps of R0's difference equation along the cut
+    with pytest.raises(AdiawellError, match="R0 on the cut needs more than"):
+        sf.r0(1e9, 0.1)
     with pytest.raises(AdiawellError, match="graded pieces"):
         sf.r0(1e5 + 0.01j, 0.1)
+
+
+@pytest.mark.parametrize("p", [1e3j, 1e5j])
+def test_r0_bar_counts_the_rounding_of_its_phase(p):
+    # the phase (i/eps) int_l0 reaches 1.3e5 rad at 1e3 i and 2.2e7 rad at
+    # 1e5 i; against 40-digit mpmath, the rounding of int_l0 alone moves it
+    # by 6.9e-12 and 1.2e-9, which the bar must cover without overstating
+    eps = 0.1
+    with mpmath.workdps(40):
+        z = mpmath.mpc(p)
+        exact = 2.0 * z * mpmath.asin(z) + 2.0 * mpmath.sqrt(1.0 - z * z) - 2.0
+        err = float(abs(mpmath.mpc(int_l0(p)) - exact)) / eps
+    bar = sf.r0(p, eps).est_error
+    assert err <= bar <= 100.0 * err
+
+
+def test_r0_on_the_cut_is_one_exp_of_its_logarithm():
+    # the product of rho0 factors and the separate phase exp once gave nan here
+    ln_r0 = sf._ln_r0_real(0.1, np.array([15.0]))[0][0]
+    assert abs(ln_r0 - LN_R0_15_REF) <= 1e-15 * abs(LN_R0_15_REF)
+    # to the last of the subnormal's places (4.9e-324)
+    assert abs(sf.r0(15.0, 0.1).value - R0_15_REF) <= 1e-323
+    assert sf.r0(30.0, 0.1).value == 0.0  # exp(-1856.8 + 922.4i)
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=st.floats(1.0, 400.0), eps=st.sampled_from([0.05, 0.1, 0.2]))
+def test_r0_on_the_cut_is_finite_or_refused(x, eps):
+    # pytest turns a RuntimeWarning into an error
+    try:
+        val = sf.r0(x, eps).value
+    except AdiawellError:
+        return
+    assert np.isfinite(val)
 
 
 def test_r0_unimodular_on_interval_and_even():
@@ -754,6 +802,60 @@ def test_upper_edge_batch_matches_single_calls():
     assert abs(vals[37] - np.exp(sf._lnA_at_one(eps))) <= 1e-14
 
 
+def _per_period_amplitude(eps, xs):
+    """A at real xs >= 0 by a per-period loop: the reference for `_ln_r0_real`.
+
+    The same sweep gives A(x0); each period then multiplies A by rho0 at its
+    midpoint, and the int_l0 phases of the steps telescope into one exp.
+    """
+    m = np.maximum(np.floor((xs - 1.0) / eps + 1e-12).astype(int) + 1, 0)
+    x0 = xs - m * eps
+    ln_a, _ = sf._ln_amplitude(np.array([0.0, x0.max()]), 0, x0 / x0.max(), eps)
+    out = np.exp(ln_a)
+    for j in range(int(m.max())):
+        mask = m > j
+        out[mask] *= rho0(xs[mask] - (m[mask] - j - 0.5) * eps, side=1)
+    return out * np.exp((1j / eps) * (int_l0(x0, side=1) - int_l0(xs, side=1)))
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.125, 0.1, 0.05])
+def test_edge_stepper_matches_the_per_period_loop(eps):
+    # R0 is the exp of a number of size |ln R0|, so past |ln R0| = 20 its
+    # rounding grows with it.  On this grid every step's midpoint is on 1 or
+    # 2.5e-3 or more from it; nearer, the loop's rho0 loses digits (next test)
+    xs = 0.01 * np.arange(1, 351)
+    ln_r0, _ = sf._ln_r0_real(eps, xs)
+    phase = (1j / eps) * int_l0(xs, side=1)
+    amp = _per_period_amplitude(eps, xs)
+    size = np.abs(ln_r0)
+    bound = np.where(size <= 20.0, 1e-14, 1e-15 * size)
+    assert np.all(np.abs(np.exp(ln_r0) / (amp * np.exp(phase)) - 1.0) <= bound)
+    assert np.all(np.abs(np.exp(ln_r0 - phase) / amp - 1.0) <= bound)
+    edge = xs >= 1.0
+    assert np.all(sf.upper_edge_amplitude(eps, xs[edge]) == np.exp(ln_r0 - phase)[edge])
+
+
+def test_edge_steps_keep_their_digits_beside_the_cusps():
+    # just past the cusp 1 + 3.5 eps one step's midpoint sits as far past 1,
+    # where rho0 = -(q0 - x)^2 rounds x*x - 1 in q0 and the per-period loop
+    # loses digits; ln rho0 = i l0 takes arccosh, which keeps them.  Both
+    # against the rho0 product at the same float midpoints in 40-digit mpmath
+    eps = 0.2
+    xs = 1.0 + 3.5 * eps + np.array([5e-6, 3e-7, 1e-9])
+    m = np.full(xs.size, 4)
+    steps = sf._relocation_sum(xs, eps, np.ones(3), np.ones(3), m, l0)
+    loop_errs = []
+    for x, step in zip(xs, steps):
+        mids = x - (np.arange(1, 5) - 0.5) * eps
+        with mpmath.workdps(40):
+            exact = mpmath.fprod(
+                -(mpmath.sqrt(mpmath.mpf(t) ** 2 - 1) - mpmath.mpf(t)) ** 2 for t in mids
+            )
+            assert float(abs(np.exp(1j * step) / exact - 1)) <= 2e-15
+            loop_errs.append(float(abs(np.prod(rho0(mids, side=1)) / exact - 1)))
+    assert max(loop_errs) > 1e-14
+
+
 def test_edge_amplitude_bar_bounds_its_error():
     eps = 0.125
     xs = np.concatenate([1.0 + eps * np.array([0.3, 0.5, 2.7]), _nearest_hook_nodes(eps, 2)])
@@ -796,11 +898,11 @@ def test_edge_tables_work(eps, monkeypatch):
 def test_eps_memo_stays_within_its_bound():
     memo = wfd._hook_tables
     bound = memo.cache_info().maxsize
-    values = [memo(0.3 + 0.01 * k)["ln_one"] for k in range(bound + 3)]
+    values = [memo(0.3 + 0.01 * k)["a_one"] for k in range(bound + 3)]
     info = memo.cache_info()
     assert info.currsize <= info.maxsize == bound
     # an evicted eps is recomputed to the same value
-    assert memo(0.3)["ln_one"] == values[0]
+    assert memo(0.3)["a_one"] == values[0]
 
 
 # ---------------------------------------------------------------------
