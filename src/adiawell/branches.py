@@ -84,11 +84,12 @@ def _upper(side) -> np.ndarray:
 
 
 def _q0_raw(z: np.ndarray, side) -> np.ndarray:
-    out = np.asarray(1j * np.sqrt(1.0 - z * z))
+    # (1 - z)(1 + z), not 1 - z*z: the product keeps its digits near +-1
+    out = np.asarray(1j * np.sqrt((1.0 - z) * (1.0 + z)))
     cut = (z.imag == 0.0) & (np.abs(z.real) > 1.0)
     if np.any(cut):
         x = z.real
-        edge = np.sign(x) * np.sqrt(np.maximum(x * x - 1.0, 0.0)) + 0.0j
+        edge = np.sign(x) * np.sqrt(np.maximum((x - 1.0) * (x + 1.0), 0.0)) + 0.0j
         out = np.where(cut, np.where(_upper(side), edge, -edge), out)
     return out
 

@@ -221,31 +221,15 @@ def _cmd_field(args) -> tuple[list[str], list[list]]:
     tau = args.eps * args.t
     _validate(args, eps=args.eps, tau=tau)
     params = ModelParams(eps=args.eps, n=args.n)
-    edge = 1.0 - tau
     x_min = args.x_min if args.x_min is not None else 0.0
-    x_max = args.x_max if args.x_max is not None else edge
+    x_max = args.x_max if args.x_max is not None else 1.0 - tau
     steps = args.x_steps if args.x_steps is not None else 200
     if x_max < x_min:
         raise _Invalid("--x-max must not be below --x-min")
-    method = args.method if args.method is not None else "contour"
+    route = wavefield.fourier_mode if args.method == "series" else wavefield.mode_solution
     xs = np.linspace(x_min, x_max, steps)
-
-    if method == "contour":
-        sample = wavefield.mode_solution(params, args.t, xs)
-        psi = np.asarray(sample.psi)
-        est = np.broadcast_to(np.asarray(sample.est_error), psi.shape)
-    elif method == "series":
-        if np.any(xs > edge):
-            raise _Invalid("--method series evaluates inside the well only")
-        psi = np.asarray(wavefield.fourier_mode(params, args.t, xs))
-        probe = np.asarray(wavefield.fourier_mode(params, args.t, xs, samples=96))
-        est = np.abs(psi - probe)
-    else:
-        raise _Invalid(f"unknown --method {method!r}")
-    rows = [
-        [x, tau, v.real, v.imag, e]
-        for x, v, e in zip(xs, psi, est)
-    ]
+    sample = route(params, args.t, xs)
+    rows = [[x, tau, v.real, v.imag, e] for x, v, e in zip(xs, sample.psi, sample.est_error)]
     return ["x", "tau", "re_psi", "im_psi", "est_error"], rows
 
 

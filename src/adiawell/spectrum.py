@@ -179,7 +179,7 @@ def phase(p: complex, n: int, tau: float, xi: float = 0.0):
     None on a cut or where q0^3 underflows.  S_p / 2 is the residual of the
     dispersion relation continued to xi."""
     w = complex(p)
-    q = 1j * cmath.sqrt(1.0 - w * w)
+    q = 1j * cmath.sqrt((1.0 - w) * (1.0 + w))  # as `branches.q0`
     if (w.imag == 0.0 and abs(w.real) >= 1.0) or not abs(q) > 1e-100:
         return None
     one_m_tau = 1.0 - tau

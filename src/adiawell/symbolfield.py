@@ -351,14 +351,20 @@ def big_l0(p, eps: float, side=0) -> QuadratureReport:
 def _estimate_l_error(p, eps: float) -> float:
     """Error bar of L0(p), following the route _big_l_values takes at p."""
     z = complex(p)
-    anchor, _, m_steps = _relocation(np.asarray(z), eps)
+    anchor, sgn, m_steps = _relocation(np.asarray(z), eps)
     q = complex(anchor)
     # the ladder and the series round in proportion to their values, about
     # l0 at the anchor; the series adds its last term for its truncation;
-    # the relocation sum rounds once per step
+    # the relocation sum rounds once per step, and |l0''(m)| = 2|m|/|q0(m)|^3
+    # carries the rounding of the midpoint m nearest the branch point (|q0|
+    # floored at 1e-100, so that its cube cannot underflow)
     series = _by_series(anchor, eps)
     truncation = abs(_moment_series(q, eps, _SERIES_TERMS)) if series else 0.0
-    relocation = 1e-15 * (abs(z.real) + 1.0) / eps if m_steps else 0.0
+    relocation = 0.0
+    if m_steps:
+        m = z - sgn * (min(max(round((abs(z.real) - 1.0) / eps + 0.5), 1), m_steps) - 0.5) * eps
+        tip = 2.0 * abs(m) / max(abs(_q0_raw(m, 1)), 1e-100) ** 3
+        relocation = 1e-15 * (abs(z.real) + 1.0) / eps + eps * np.spacing(abs(z)) * tip
     return _ROUNDING_EST * (1.0 + abs(l0(q))) + truncation + relocation
 
 

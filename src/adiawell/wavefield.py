@@ -69,11 +69,12 @@ any offset p the superposition over k in p + eps Z,
                                                         (inside the well),
 
 with matching outgoing terms outside, solves the problem exactly, and the
-mode solution is recovered as the n-th Fourier coefficient in p.  Both the
+mode solution is recovered as the n-th Fourier coefficient in p, inside the
+well and past its edge, before and after tau_n (`fourier_mode`).  Both the
 lattice sum (`generating_series`, `fourier_mode`) and the interface algebra
 tying R to the outgoing factors (`scattering_residuals`) are implemented
 independently of the contour machinery, which makes strong mutual
-cross-checks possible: the two routes share no quadrature code.
+cross-checks possible: the two routes share only the Gauss-Legendre panels.
 """
 
 from __future__ import annotations
@@ -151,6 +152,8 @@ _EPS_SLOTS = 8
 # first degree of the Chebyshev sum in x (`_contour_sum`), doubled until its
 # coefficient tail reaches rounding
 _CHEB_START = 24
+# points per offset piece of the lattice route's two levels (`fourier_mode`)
+_LATTICE_RULES = (32, 40)
 
 
 # =====================================================================
@@ -791,47 +794,35 @@ def mode_solution(params: ModelParams, t: float, x) -> FieldSample:
 # =====================================================================
 
 
-def _q_edge(q: np.ndarray) -> np.ndarray:
-    """Branch q0 on the real axis with outgoing-wave boundary values.
-
-    For |q| > 1 the limit is taken from the side that makes the outgoing
-    momentum positive: from above for q > 0, from below for q < 0.  Both
-    give q0 = +sqrt(q^2 - 1).
-    """
-    q = np.asarray(q, dtype=float)
-    out = np.empty(q.shape, dtype=complex)
-    inner = np.abs(q) < 1.0
-    out[inner] = 1j * np.sqrt(1.0 - q[inner] ** 2)
-    out[~inner] = np.sqrt(q[~inner] ** 2 - 1.0)
-    return out
-
-
 def outgoing_momentum(p, eps: float):
-    """Momentum of the transmitted wave attached to lattice point p."""
+    """Momentum -eps/2 + q0(q), q = p + eps/2, of the transmitted wave attached to
+    lattice point p.  On the cut q0 is taken from above for q > 0 and from below
+    for q < 0, the sides that make the wave outgoing: both give +sqrt(q^2 - 1)."""
     q = np.asarray(p, dtype=float) + 0.5 * eps
-    out = -0.5 * eps + _q_edge(q)
+    out = -0.5 * eps + q0(q, np.sign(q))
     return complex(out) if np.ndim(p) == 0 else out
 
 
 def outgoing_factor(p, eps: float):
-    """Transmission factor T(p) = -i q e^{i/eps} / (q0(q) + q), q = p + eps/2."""
+    """Transmission factor T(p) = -i q e^{i/eps} / (q0(q) + q), q = p + eps/2 (q0 as in
+    `outgoing_momentum`)."""
     q = np.asarray(p, dtype=float) + 0.5 * eps
-    qq = _q_edge(q)
-    out = -1j * q * np.exp(1j / eps) / (qq + q)
+    out = -1j * q * np.exp(1j / eps) / (q0(q, np.sign(q)) + q)
     return complex(out) if np.ndim(p) == 0 else out
 
 
 def _lattice_terms(eps: float, t: float, offsets):
-    """k = p + eps l, p1(k) and the phases of sin(kx) and e^{i p1 x}, a row per offset p.
+    """Offsets p (a column) and steps eps l (a row) of k = p + eps l, p1(k) and the
+    phases of sin(kx) and e^{i p1 x}, a row per offset p.
 
-    Terms beyond |k| = 1 + 16 eps are dropped (R decays superexponentially
-    past the branch point, reaching ~1e-3 per step of eps), and shorter rows
-    are padded with terms of phase 0.  R, which is even, comes from one
-    `_ln_r0_real` call at |k|.
+    Terms beyond |k| = 1 + m eps are dropped, m = `_edge_periods`(eps), the
+    hook's own truncation: there Im int_l0 has passed the decay level, so |R|
+    is below e^-50.  Shorter rows are padded with terms of phase 0.  R, which
+    is even, comes from one `_ln_r0_real` call at |k|.
     """
     p = np.atleast_1d(np.asarray(offsets, dtype=float))[:, None]
     edge = 1.0 - eps * t
-    reach = 1.0 + 16.0 * eps
+    reach = 1.0 + _edge_periods(eps) * eps
     lo, hi = (-reach - p) / eps, (reach - p) / eps
     ell = np.arange(int(np.ceil(lo.min())), int(np.floor(hi.max())) + 1)
     ks = p + eps * ell
@@ -841,7 +832,7 @@ def _lattice_terms(eps: float, t: float, offsets):
     p1 = outgoing_momentum(ks, eps)
     phase_in = np.exp(1j * t) * np.exp(1j * ks**2 * edge / eps) * r_k
     phase_out = np.exp(1j * p1**2 * edge / eps) * outgoing_factor(ks, eps) * r_k
-    return ks, p1, phase_in, phase_out
+    return p, eps * ell, p1, phase_in, phase_out
 
 
 def generating_series(params: ModelParams, t: float, x, p) -> np.ndarray:
@@ -854,31 +845,50 @@ def generating_series(params: ModelParams, t: float, x, p) -> np.ndarray:
     eps = params.eps
     edge = 1.0 - eps * t
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    ks, p1, phase_in, phase_out = _lattice_terms(eps, t, p)
-    out = np.zeros((ks.shape[0], x_arr.size), dtype=complex)
+    offsets, shifts, p1, phase_in, phase_out = _lattice_terms(eps, t, p)
+    out = np.empty((p1.shape[0], x_arr.size), dtype=complex)
 
     inside = x_arr <= edge
-    # one offset at a time, so the wave matrix stays (x, lattice) in size
-    for row, k, ph_in, q, ph_out in zip(out, ks, phase_in, p1, phase_out):
-        row[inside] = np.sin(np.multiply.outer(x_arr[inside], k)) @ ph_in
+    # sin(kx) = sin(px) cos(eps l x) + cos(px) sin(eps l x): the k-sums of all
+    # offsets are products with one pair of (lattice, x) matrices
+    px, lx = offsets * x_arr[inside], np.multiply.outer(shifts, x_arr[inside])
+    out[:, inside] = np.sin(px) * (phase_in @ np.cos(lx)) + np.cos(px) * (phase_in @ np.sin(lx))
+    # past the edge one offset at a time, so the wave matrix stays (x, lattice) in size
+    for row, q, ph_out in zip(out, p1, phase_out):
         row[~inside] = np.exp(1j * np.multiply.outer(x_arr[~inside], q)) @ ph_out
     out /= np.sqrt(np.pi)
     return out[0] if np.ndim(p) == 0 else out
 
 
-def fourier_mode(
-    params: ModelParams, t: float, x, samples: int = 64
-) -> np.ndarray:
-    """Mode amplitude recovered from the lattice sum: the n-th p-Fourier
-    coefficient of the generating series, times sqrt(eps).
+def fourier_mode(params: ModelParams, t: float, x) -> FieldSample:
+    """Psi_n(x, t) from the lattice sum: sqrt(eps) times the n-th p-Fourier
+    coefficient of the generating series, inside the well and past its edge.
 
-    Entirely independent of the contour quadratures, so agreement with
-    `mode_solution` validates both pipelines at once.
+    In p the series has square-root cusps, those of R and of the outgoing
+    factor, at p = +-1 and +-(1 + eps/2) mod eps.  One `cusp_panels` panel
+    with both ends mapped on each piece of the period between them converges
+    spectrally (Davis & Rabinowitz, sec. 2.12), where a midpoint rule
+    converges only algebraically.  Both levels of
+    _LATTICE_RULES come from one `generating_series` call; the finer gives
+    the value and their gap the bar.  No contour code is involved, so
+    agreement with `mode_solution` validates both pipelines at once.
     """
     eps, n = params.eps, params.n
-    offsets = eps * (np.arange(samples) + 0.5) / samples
-    rows = generating_series(params, t, x, offsets)
-    return np.sqrt(eps) * (np.exp(-2j * np.pi * n * offsets / eps) @ rows) / samples
+    # the cusps mod eps, on the circle: one within rounding of the next is dropped
+    cuts = np.sort(np.mod([1.0, -1.0, 1.0 + 0.5 * eps, -1.0 - 0.5 * eps], eps))
+    cuts = cuts[np.diff(cuts, append=cuts[0] + eps) > 1e-14]
+    ends = np.append(cuts, cuts[0] + eps)
+    levels = []
+    for rule in _LATTICE_RULES:
+        pieces = [cusp_panels(ends[j:j + 2], rule, at_start=True, at_end=True)
+                  for j in range(cuts.size)]
+        p, w = (np.concatenate(a, axis=None) for a in zip(*pieces))
+        levels.append((p, w * np.exp(-2j * np.pi * n * p / eps) / np.sqrt(eps)))
+    (p_coarse, w_coarse), (p_fine, w_fine) = levels
+    rows = generating_series(params, t, x, np.concatenate([p_coarse, p_fine]))
+    coarse, fine = w_coarse @ rows[:p_coarse.size], w_fine @ rows[p_coarse.size:]
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    return FieldSample(x_arr, float(t), fine, np.abs(fine - coarse), "lattice")
 
 
 def interface_residuals(params: ModelParams, t: float, p: float) -> tuple[float, float]:
@@ -889,7 +899,8 @@ def interface_residuals(params: ModelParams, t: float, p: float) -> tuple[float,
     every branch convention in play.
     """
     edge = 1.0 - params.eps * t
-    ks, p1, phase_in, phase_out = _lattice_terms(params.eps, t, p)
+    offsets, shifts, p1, phase_in, phase_out = _lattice_terms(params.eps, t, p)
+    ks = offsets + shifts
     val_in = np.sum(np.sin(ks * edge) * phase_in)
     der_in = np.sum(ks * np.cos(ks * edge) * phase_in)
     wave = np.exp(1j * p1 * edge)

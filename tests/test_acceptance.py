@@ -126,15 +126,14 @@ def test_criterion_05_special_function_asymptotics():
 def test_criterion_06_dual_route_cross_validation():
     xs = np.array([0.5, 1.5, 2.5])
     gap = float(np.max(np.abs(
-        wfd.fourier_mode(P02, -10.0, xs, samples=64)
-        - np.asarray(wfd.mode_inside(P02, -10.0, xs).psi))))
+        wfd.fourier_mode(P02, -10.0, xs).psi - wfd.mode_inside(P02, -10.0, xs).psi)))
     val_gap = der_gap = 0.0
     for frac in (0.111, 0.287, 0.455):
         v, d = wfd.interface_residuals(P02, -10.0, frac * 0.2)
         val_gap, der_gap = max(val_gap, v), max(der_gap, d)
-    ok = gap <= 1e-5 and val_gap <= 1e-12 and der_gap <= 1e-12
+    ok = gap <= 1e-13 and val_gap <= 1e-12 and der_gap <= 1e-12
     _report(6, ok,
-            f"contour vs lattice-sum gap {gap:.2e} (tol 1e-05), interface "
+            f"contour vs lattice-sum gap {gap:.2e} (tol 1e-13), interface "
             f"continuity {val_gap:.2e}/{der_gap:.2e} (tol 1e-12/1e-12)")
 
 

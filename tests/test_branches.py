@@ -7,6 +7,7 @@ against direct quadrature along explicit segments.
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +82,20 @@ def test_upper_edge_closed_forms():
 # ---------------------------------------------------------------------
 # algebraic identities (random and property based)
 # ---------------------------------------------------------------------
+
+
+def test_q0_keeps_its_digits_beside_the_branch_points():
+    # q0 takes (1 - z)(1 + z) under one square root; 1 - z*z would lose up to
+    # 2.5e-9 relative within 1e-8 of +-1, where the lattice route clusters its nodes
+    for p, side in [(1 + 1e-9, 1), (1 + 1e-6, 1), (-1 - 1e-8, 1), (0.999999999 + 1e-12j, 0)]:
+        with mpmath.workdps(40):
+            z = mpmath.mpc(p)
+            if z.imag == 0:
+                ref = mpmath.sign(z.real) * mpmath.sqrt(z.real**2 - 1)
+            else:
+                ref = 1j * mpmath.sqrt(1 - z * z)
+            for got, want in ((q0(p, side), ref), (l0_prime(p, side), 2j / ref)):
+                assert float(abs(got - want) / abs(want)) <= 4e-16, p
 
 
 def test_q0_even_l0_odd():

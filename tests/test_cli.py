@@ -156,7 +156,7 @@ def test_field_series_agrees_with_contour(tmp_path):
     for ra, rb in zip(rows_a, rows_b):
         va = complex(float(ra[2]), float(ra[3]))
         vb = complex(float(rb[2]), float(rb[3]))
-        assert abs(va - vb) < 1e-4
+        assert abs(va - vb) < 1e-13
 
 
 def test_compare_csv_contract(tmp_path):
@@ -323,8 +323,9 @@ def test_json_config_rejected(tmp_path, payload):
         (["field", "--eps", "0.2", "--n", "1", "--t", "6"], 2),
         (["eigen", "--n", "1", "--tau", "-2", "--tol", "1e-13"], 2),  # unknown flag
         (["eigen", "--n", "1"], 2),
+        # the lattice route evaluates past the well edge too
         (["field", "--eps", "0.2", "--n", "1", "--t", "-10",
-          "--method", "series", "--x-max", "5"], 2),
+          "--method", "series", "--x-max", "5"], 0),
         (["eigen", "--n", "1", "--tau", "0.9"], 3),
         # usage errors found before any evaluation or worker pool starts
         (["field", "--eps", "0.2", "--n", "0", "--t", "-10"], 2),
@@ -376,6 +377,11 @@ def test_json_config_rejected(tmp_path, payload):
         (["special", "--fn", "R0", "--z", "1e9", "--eps", "0.1"], 3),
         # R0(30) = exp(-1856.8 + 922.4i) underflows to zero
         (["special", "--fn", "R0", "--z", "30", "--eps", "0.1"], 0),
+        # past the edge at tau_1 and after it, where the eigenvalue has gone
+        (["field", "--eps", "0.1", "--n", "1", "--t", "-5.707963267948966",
+          "--x-min", "2.6", "--x-max", "3.0", "--x-steps", "2", "--method", "series"], 0),
+        (["field", "--eps", "0.1", "--n", "1", "--t", "-5.0",
+          "--x-min", "2.6", "--x-max", "3.0", "--x-steps", "2", "--method", "series"], 0),
     ],
 )
 def test_exit_codes(argv, code):

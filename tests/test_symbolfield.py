@@ -248,6 +248,23 @@ def test_big_l0_at_hard_anchors():
         assert err <= rep.est_error <= 100.0 * max(err, 1e-15 * abs(ref)), (where, eps)
 
 
+def test_big_l0_bar_beside_a_lattice_cusp():
+    # 1e-6 past the singular point 1 + eps/2 on the upper edge: L0 is the series
+    # at 0.35 + 1e-6 plus seven relocation steps, the first 1e-6 past 1, where
+    # a q0 that rounded x*x - 1 would cost 3.1e-9.  What is left is the
+    # rounding of that midpoint, which l0'' carries (error 2.9e-9, bar 1.6e-8).
+    # Reference: the exact steps at 40 digits from the float input
+    eps, p = 0.1, 1.05 + 1e-6
+    rep = sf.big_l0(p, eps, side=1)
+    with mpmath.workdps(40):
+        z, e = mpmath.mpf(p), mpmath.mpf(eps)
+        steps = sum(2j / mpmath.sqrt((z - (j - 0.5) * e) ** 2 - 1) for j in (1, 2))
+        steps += sum(2 / mpmath.sqrt(1 - (z - (j - 0.5) * e) ** 2) for j in range(3, 8))
+        ref = complex(sf.big_l0(float(z - 7 * e), eps).value) + complex(e * steps)
+    err = abs(rep.value - ref)
+    assert err <= rep.est_error <= 100.0 * err
+
+
 def test_old_collar_seam_is_accurate():
     # a ladder anchored 0.45 eps from the tip lost two digits (1.7e-13)
     for p in (0.977499999 + 0.015j, 0.977500001 + 0.015j):
@@ -837,9 +854,10 @@ def test_edge_stepper_matches_the_per_period_loop(eps):
 
 def test_edge_steps_keep_their_digits_beside_the_cusps():
     # just past the cusp 1 + 3.5 eps one step's midpoint sits as far past 1,
-    # where rho0 = -(q0 - x)^2 rounds x*x - 1 in q0 and the per-period loop
-    # loses digits; ln rho0 = i l0 takes arccosh, which keeps them.  Both
-    # against the rho0 product at the same float midpoints in 40-digit mpmath
+    # where the per-period loop's rho0 = -(q0 - x)^2 would lose digits (up to
+    # 9.3e-14) if q0 rounded x*x - 1; ln rho0 = i l0 takes arccosh, and q0
+    # takes (x - 1)(x + 1), so both keep them.  Both against the rho0
+    # product at the same float midpoints in 40-digit mpmath
     eps = 0.2
     xs = 1.0 + 3.5 * eps + np.array([5e-6, 3e-7, 1e-9])
     m = np.full(xs.size, 4)
@@ -853,7 +871,7 @@ def test_edge_steps_keep_their_digits_beside_the_cusps():
             )
             assert float(abs(np.exp(1j * step) / exact - 1)) <= 2e-15
             loop_errs.append(float(abs(np.prod(rho0(mids, side=1)) / exact - 1)))
-    assert max(loop_errs) > 1e-14
+    assert max(loop_errs) <= 2e-15
 
 
 def test_edge_amplitude_bar_bounds_its_error():

@@ -766,7 +766,7 @@ def test_one_lattice_pass_serves_every_offset(tmp_path, monkeypatch):
     assert rows.shape == (offsets.size, xs.size)
     for p, row in zip(offsets, rows):
         assert np.max(np.abs(row - wfd.generating_series(P02, -10.0, xs, p))) <= 1e-15
-    # a series request takes R for all offsets of each level from one sweep
+    # a series request takes R for all offsets of both levels from one sweep
     calls = [0]
     sweep = sf.path_cumulative
 
@@ -778,7 +778,22 @@ def test_one_lattice_pass_serves_every_offset(tmp_path, monkeypatch):
     argv = ["field", "--eps", "0.2", "--n", "1", "--t", "-10", "--x-steps", "5",
             "--method", "series", "--out", str(tmp_path / "series.csv")]
     assert run(argv) == 0
-    assert calls[0] <= 2
+    assert calls[0] <= 1
+
+
+@pytest.mark.parametrize("eps,t", [(0.2, -10.0), (0.1, tau_threshold(3) / 0.1)])
+def test_generating_series_matches_the_term_by_term_sum(eps, t):
+    # inside the well the rows take sin(kx) by angle addition; against the
+    # plain k-sum of sin((p + eps l) x) R-phases, out to x = 8.9 at tau_3,
+    # within a few units of rounding of the terms' sizes and arguments
+    xs = np.linspace(0.0, 1.0 - eps * t, 7)
+    offsets = eps * np.array([0.111, 0.287, 0.455, 1.3])
+    p, shifts, _, phase_in, _ = wfd._lattice_terms(eps, t, offsets)
+    ks = p + shifts
+    direct = np.einsum("jl,jlx->jx", phase_in, np.sin(ks[:, :, None] * xs)) / np.sqrt(np.pi)
+    rows = wfd.generating_series(ModelParams(eps=eps, n=1), t, xs, offsets)
+    size = np.abs(phase_in).sum(axis=1)[:, None] * (1.0 + np.abs(ks).max() * xs)
+    assert np.all(np.abs(rows - direct) <= 4.0 * np.finfo(float).eps * size)
 
 
 @pytest.mark.parametrize("frac", [0.111, 0.287, 0.455])
@@ -811,9 +826,80 @@ def test_fourier_mode_peak_memory():
 
 def test_fourier_recovery_matches_contour():
     xs = np.array(sorted(INSIDE_REF))
-    fm = wfd.fourier_mode(P02, -10.0, xs, samples=64)
+    fm = wfd.fourier_mode(P02, -10.0, xs)
     sd = wfd.mode_inside(P02, -10.0, xs)
-    assert np.max(np.abs(fm - sd.psi)) < 1e-5
+    assert np.max(np.abs(fm.psi - sd.psi)) < 1e-13
+
+
+@pytest.mark.parametrize("eps", [0.025, 0.03])
+def test_lattice_keeps_every_term_above_the_decay_level(eps):
+    # the k-sum runs out to the hook's own edge truncation: at |k| = 1 + 16 eps
+    # |R| is still 7e-9 at eps 0.025 and 1e-9 at 0.03, and stopping there puts
+    # the lattice 1e-10 to 5e-10 max|psi| off the contour routes
+    params = ModelParams(eps=eps, n=1)
+    for dt in (-2.0, -0.5):  # descent, then the hook, inside the well
+        tau = tau_threshold(1) + dt
+        t, edge = tau / eps, 1.0 - tau
+        x_in, x_out = np.linspace(0.1, edge, 9), edge + np.array([0.25, 1.0, 3.0])
+        lat = wfd.fourier_mode(params, t, np.concatenate([x_in, x_out])).psi
+        inside = wfd.mode_inside(params, t, x_in)
+        scale = np.max(np.abs(inside.psi))
+        assert np.max(np.abs(lat[:9] - inside.psi)) <= 1e-12 * scale, (eps, dt)
+        outside = wfd.mode_outside(params, t, x_out).psi
+        assert np.max(np.abs(lat[9:] - outside)) <= 1e-12 * scale, (eps, dt)
+
+
+# 1/eps an integer (two offset pieces), generic (four), and two cusps that
+# nearly coincide: 2e-10 apart at 0.1 (1 +- 1e-9), 2e-13 apart at 0.1 (1 + 1e-13)
+LATTICE_EPS = [0.2, 0.125, 0.1, 0.07, 0.05, 0.025,
+               0.1 * (1 + 1e-9), 0.1 * (1 - 1e-9), 0.1 * (1 + 1e-13)]
+
+
+@pytest.mark.parametrize("eps", LATTICE_EPS)
+def test_lattice_bar_bounds_its_gap_to_the_contour(eps):
+    # |lattice - contour| <= the sum of both bars, below, at and past tau_n,
+    # wherever the contour route exists inside the well; the lattice bar is
+    # the 32-vs-40 point gap, at most 2.7e-13 max|psi| on this grid
+    for n in (1, 2, 3):
+        params = ModelParams(eps=eps, n=n)
+        for dt in (-1.5, -0.5, 0.0, 1.0):
+            tau = tau_threshold(n) + dt
+            xs = np.linspace(0.0, 1.0 - tau, 13)[1:]
+            lat = wfd.fourier_mode(params, tau / eps, xs)
+            contour = wfd.mode_inside(params, tau / eps, xs)
+            gap = np.abs(lat.psi - contour.psi)
+            assert np.all(gap <= lat.est_error + contour.est_error), (n, dt)
+            assert np.max(lat.est_error) <= 1e-12 * np.max(np.abs(lat.psi)), (n, dt)
+
+
+def test_lattice_bar_far_outside_past_threshold():
+    # the exterior after the eigenvalue has gone, out to edge + 40, where |psi|
+    # has fallen to 1e-9 of its size in the well at eps 0.1
+    for eps, n, dt in [(0.2, 1, 0.5), (0.1, 1, 0.5), (0.05, 1, 0.3), (0.1, 3, 0.5),
+                       (0.07, 3, 0.05), (0.2, 3, -1.5)]:
+        tau = tau_threshold(n) + dt
+        edge = 1.0 - tau
+        xs = np.concatenate([np.linspace(0.0, edge, 13)[1:], edge + np.array([0.5, 2, 8, 20, 40])])
+        lat = wfd.fourier_mode(ModelParams(eps=eps, n=n), tau / eps, xs)
+        assert np.max(lat.est_error) <= 1e-12 * np.max(np.abs(lat.psi[:12])), (eps, n, dt)
+
+
+@pytest.mark.parametrize("eps,dt", [(0.1, 0.5), (0.2, 1.0)])
+def test_lattice_joins_at_the_edge_past_threshold(eps, dt):
+    # past tau_1 no contour reaches the exterior; the lattice route's standing
+    # and outgoing sums meet at the edge in value and in slope (one-sided
+    # second-order differences, h = 1e-4)
+    tau = tau_threshold(1) + dt
+    edge, h = 1.0 - tau, 1e-4
+    xs = edge + h * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+    xs[2] = edge
+    xs = np.append(xs, np.nextafter(edge, 2 * edge))  # the first point past the edge
+    lat = wfd.fourier_mode(ModelParams(eps=eps, n=1), tau / eps, xs)
+    f = lat.psi
+    assert abs(f[5] - f[2]) <= lat.est_error[5] + lat.est_error[2] + 1e-14
+    left = (3.0 * f[2] - 4.0 * f[1] + f[0]) / (2.0 * h)
+    right = (-3.0 * f[2] + 4.0 * f[3] - f[4]) / (2.0 * h)
+    assert abs(left - right) <= 1e-7 * abs(left)
 
 
 def test_outgoing_momentum_branches():
