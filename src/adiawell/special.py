@@ -289,7 +289,7 @@ def zeta_fn(t):
     if np.any((flat.imag == 0.0) & (flat.real >= 0.5)):
         raise OnCut("zeta_fn is not defined on the cut [1/2, inf)")
     big = float(np.max(np.abs(flat))) if flat.size else 0.0
-    count = int(max(100, np.ceil(10.0 * big)))
+    count = int(np.ceil(big)) + 30  # the tail starts 30 past |t|: next term < 1e-14
     ell = np.arange(count, dtype=float)
     base = ell.reshape((-1,) + (1,) * flat.ndim) + (0.5 - flat)[None, ...]
     partial = np.sum(1.0 / np.sqrt(base), axis=0)

@@ -405,7 +405,7 @@ def _dense(sweep, seg: np.ndarray, u: np.ndarray) -> np.ndarray:
     return cum[seg] + half[seg] * np.sum(b * g[seg], axis=-1)
 
 
-def path_cumulative(points: Sequence[complex] | np.ndarray, eps: float, side=0):
+def path_cumulative(points: Sequence[complex] | np.ndarray, eps: float):
     """Integrate (i/eps)(L0 - l0) cumulatively along the polyline `points`.
 
     One kernel sweep of the 16-point rule.  Returns (half, g, cum), the
@@ -422,7 +422,7 @@ def path_cumulative(points: Sequence[complex] | np.ndarray, eps: float, side=0):
         raise ValueError("need at least two polyline vertices")
     nodes, _ = gl_panels(pts, 16)
     half = 0.5 * (pts[1:] - pts[:-1])
-    g = _g_values(nodes, eps, side)
+    g = _g_values(nodes, eps, 0)
     cum = np.concatenate([[0.0 + 0.0j], np.cumsum(half * (g @ gl_rule(16)[1]))])
     tail = np.sum(np.abs(g @ _LEG_COEF[14:].T), axis=1)
     return (half, g, cum), float(np.sum(np.abs(half) * tail))

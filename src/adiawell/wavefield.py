@@ -35,11 +35,12 @@ Contours
 --------
 Three interchangeable evaluation contours are provided.
 
-* ``sd``       steepest descent through the saddle point p_n(tau) (or its
-               complex continuation outside).  Im S increases monotonically
-               along the two traced branches, so the integrand is a clean
-               positive-decay profile.  Used while the saddle is well below
-               the branch point at p = 1.
+* ``sd``       the saddle line: the straight line through the saddle point
+               p_n(tau) (or its complex continuation outside) along its
+               steepest-descent direction.  Re S varies along it; Im S rises
+               from the saddle along both halves, which a test checks over a
+               grid of eps, n, tau and xi (it is not so by construction).
+               Used while the saddle is well below the branch point p = 1.
 * ``gamma``    a hook through the branch point: down the vertical ray
                1 - i[0, Y] and out along the upper edge of the cut [1, oo).
                Near and past the threshold tau_n the saddle collides with
@@ -49,9 +50,10 @@ Three interchangeable evaluation contours are provided.
                follow the phase of each (n, tau) and are built per call.
                Its sine basis is summed in closed form from real matrices,
                e^{xy} on the leg and sin(px) on the edge (`_hook_sums`).
-* ``ray``      the fixed line e^{i pi/4} R.  Simple and saddle-free, but the
-               integrand climbs to e^{(pi n)^2/(2(1-tau) eps)} before it
-               cancels, so it is only a cross-check at moderate eps.
+* ``ray``      the fixed line e^{i pi/4} R, placed by the saddle line's
+               stepper.  Simple and saddle-free, but the integrand climbs to
+               e^{(pi n)^2/(2(1-tau) eps)} before it cancels, so it is only a
+               cross-check at moderate eps.
 
 The automatic dispatch uses ``gamma`` once tau_n - tau <= 2 eps^{1/3} (the
 saddle enters the eps^{1/3} collision neighbourhood of p = 1, where the
@@ -141,7 +143,6 @@ _GAMMA_SWITCH = 2.0     # hook contour once tau_n - tau <= this * eps^(1/3)
 _GAMMA_CAP = 0.6        # ... but never further below threshold than this
 _MINUS_DEPTH = 12.0     # hard cap on the depth of the hook's vertical leg
 _PANEL_PHASE = 4.5      # max radians of e^{iS/eps} per vertical-leg panel
-_RAY_ANGLE = 0.25 * np.pi
 _LEG_TOO_SHORT = ("vertical hook leg is too short for this (n, tau); the saddle "
                   "sits too far below threshold for the hook contour")
 # widest x span that shares one exterior contour; values do not move with the
@@ -230,7 +231,7 @@ def action_identities(n: int, tau: float) -> tuple[float, float]:
 
 
 # =====================================================================
-# steepest-descent tracing
+# line contours: the saddle line and the ray
 # =====================================================================
 
 
@@ -244,103 +245,65 @@ def _local_step(ev: ActionEval, eps: float) -> float:
     )
 
 
-def trace_steepest(
-    n: int,
-    tau: float,
-    eps: float,
-    xi: float = 0.0,
-) -> np.ndarray:
-    """Vertices of the steepest-descent contour through the saddle.
-
-    Both branches are traced by arc-length stepping along
-    dp/ds = i conj(S_p)/|S_p| (which keeps Re S frozen and drives Im S up at
-    unit rate) with a Heun predictor and a Newton re-projection onto
-    Re S = Re S(saddle) after every step.  Tracing stops once
-    Im S - Im S(saddle) >= _DECAY_LEVEL * eps; the returned polyline is ordered
-    like the original line contour, from the lower-left end to the
-    upper-right end, saddle in the middle.
-
-    The steps run on scalar `action` calls, which are `spectrum.phase` off
-    the cuts.  Each branch's polyline, saddle first, is checked against the
-    cuts once it is traced; one that meets a cut raises TraceDiverged.  A
-    saddle on the branch point p = 1 (tau = tau_n) raises ContinuationFailure.
-    """
-    tau, xi = float(tau), float(xi)
-    p0 = complex(p_n_tilde(n, tau, xi) if xi != 0.0 else p_n(n, tau))
-    base = action(p0, n, tau, xi=xi)
-    if not cmath.isfinite(base.d2):
-        # p_n = 1 at tau_n; p_n_tilde refuses it for xi > 0
-        raise ContinuationFailure(
-            f"saddle p_n sits on the branch point p = 1 (n={n}, tau={tau:.6f}); "
-            "no descent contour passes through it"
-        )
-    c_re = base.value.real
-    im0 = base.value.imag
-    first_dir = cmath.exp(1j * (0.25 * math.pi - 0.5 * cmath.phase(base.d2)))
-    step0 = _STEP_FRACTION * math.sqrt(eps / abs(base.d2))
-
-    branches: list[list[complex]] = []
-    for sgn in (1.0, -1.0):
-        p = p0 + sgn * first_dir * step0
-        pts: list[complex] = []
-        while True:
-            ev = action(p, n, tau, xi=xi)
-            # re-project onto the constant-Re S curve
-            for _ in range(2):
-                drift = ev.value.real - c_re
-                if abs(drift) < 1e-13 * (1.0 + abs(c_re)):
-                    break
-                p = p - drift * ev.d1.conjugate() / abs(ev.d1) ** 2
-                ev = action(p, n, tau, xi=xi)
-            pts.append(p)
-            if ev.value.imag - im0 >= _DECAY_LEVEL * eps:
-                break
-            if len(pts) > _MAX_STEPS or abs(p) > _TRACE_RADIUS:
-                raise TraceDiverged(
-                    f"descent trace did not reach the decay level "
-                    f"(|p|={abs(p):.2f}, steps={len(pts)})"
-                )
-            ds = _local_step(ev, eps)
-            v1 = 1j * ev.d1.conjugate() / abs(ev.d1)
-            mid = action(p + ds * v1, n, tau, xi=xi)
-            v2 = 1j * mid.d1.conjugate() / abs(mid.d1)
-            p = p + 0.5 * ds * (v1 + v2)
-        if _meets_cut(np.array([p0] + pts)):
-            raise TraceDiverged("descent path attempted to cross a cut")
-        branches.append(pts)
-
-    # orient: the branch ending farther up-right plays the +infinity role
-    end_a, end_b = branches[0][-1], branches[1][-1]
-    if (end_a.real + end_a.imag) >= (end_b.real + end_b.imag):
-        plus, minus = branches[0], branches[1]
-    else:
-        plus, minus = branches[1], branches[0]
-    return np.array(minus[::-1] + [p0] + plus, dtype=complex)
-
-
-def _ray_vertices(n: int, tau: float, eps: float) -> np.ndarray:
-    """Vertices along the fixed line e^{i pi/4} R, truncated by Im S."""
-    direction = np.exp(1j * _RAY_ANGLE)
-    sides: list[list[complex]] = []
-    for sgn in (-1.0, 1.0):
+def _line_vertices(p0, direction, n: int, tau: float, eps: float, xi: float, step0) -> np.ndarray:
+    """Vertices of the line p0 + direction * s, from its negative end.  Each half
+    takes its first step from step0 (negative half first), later ones from
+    `_local_step`, and ends where Im S - Im S(p0) >= _DECAY_LEVEL * eps.  More
+    than _MAX_STEPS vertices, |p| > _TRACE_RADIUS, or a line that meets a cut
+    (one check of the whole polyline) raise TraceDiverged."""
+    im0 = action(p0, n, tau, xi=xi).value.imag
+    halves: list[list[complex]] = []
+    for sgn, ds in zip((-1.0, 1.0), step0):
         pts: list[complex] = []
         s = 0.0
         while True:
-            ev = action(sgn * direction * max(s, 1e-9), n, tau)
-            if ev.value.imag >= _DECAY_LEVEL * eps:
-                pts.append(sgn * direction * s)
+            s += ds
+            pts.append(p0 + sgn * direction * s)
+            ev = action(pts[-1], n, tau, xi=xi)
+            if ev.value.imag - im0 >= _DECAY_LEVEL * eps:
                 break
-            if s > _TRACE_RADIUS:
-                raise TraceDiverged("ray quadrature does not decay; check tau < 1")
-            pts.append(sgn * direction * s)
-            s += _local_step(ev, eps)
-        sides.append(pts)
-    left, right = sides
-    return np.array(left[::-1] + right[1:], dtype=complex)
+            if len(pts) > _MAX_STEPS or abs(pts[-1]) > _TRACE_RADIUS:
+                raise TraceDiverged(f"line contour did not reach the decay level "
+                                    f"(|p|={abs(pts[-1]):.2f}, steps={len(pts)})")
+            ds = _local_step(ev, eps)
+        halves.append(pts)
+    line = np.array(halves[0][::-1] + [p0] + halves[1], dtype=complex)
+    if _meets_cut(line):
+        raise TraceDiverged("line contour meets a cut")
+    return line
+
+
+# Name and signature kept: the benchmark's tracer wraps wavefield.trace_steepest.
+def trace_steepest(n: int, tau: float, eps: float, xi: float = 0.0) -> np.ndarray:
+    """Vertices of the saddle line p0 + e^{i(pi/4 - arg S_pp(p0)/2)} s through the
+    saddle p0 (p_n(tau), or p~_n(tau, xi) outside) along its steepest-descent
+    direction, the classical saddle-point path (Bleistein & Handelsman,
+    Asymptotic Expansions of Integrals, 1975, ch. 7).  Every admissible contour
+    gives the same value, so Re S may vary; Im S rises from the saddle on both
+    halves by test, not by construction.  First step _STEP_FRACTION
+    sqrt(eps / |S_pp|) each way; a saddle on p = 1 raises ContinuationFailure.
+    """
+    tau, xi = float(tau), float(xi)
+    p0 = complex(p_n_tilde(n, tau, xi) if xi != 0.0 else p_n(n, tau))
+    d2 = action(p0, n, tau, xi=xi).d2
+    if not cmath.isfinite(d2):
+        # p_n = 1 at tau_n; p_n_tilde refuses it for xi > 0
+        raise ContinuationFailure(f"saddle p_n sits on the branch point p = 1 (n={n}, "
+                                  f"tau={tau:.6f}); no descent contour passes through it")
+    step0 = _STEP_FRACTION * math.sqrt(eps / abs(d2))
+    direction = cmath.exp(1j * (0.25 * math.pi - 0.5 * cmath.phase(d2)))
+    return _line_vertices(p0, direction, n, tau, eps, xi, (step0, step0))
+
+
+def _ray_vertices(n: int, tau: float, eps: float) -> np.ndarray:
+    """Vertices along the fixed line e^{i pi/4} R, each half's first step taken just off 0."""
+    direction = np.exp(0.25j * np.pi)
+    step0 = [_local_step(action(sgn * direction * 1e-9, n, tau), eps) for sgn in (-1.0, 1.0)]
+    return _line_vertices(0j, direction, n, tau, eps, 0.0, step0)
 
 
 # =====================================================================
-# quadrature over traced polylines (sd & ray)
+# quadrature over line contours (sd & ray)
 # =====================================================================
 
 
@@ -410,7 +373,7 @@ def _hook_tables(eps: float) -> dict:
     leg_y = [0.0, 1e-7]
     while leg_y[-1] < _MINUS_DEPTH:
         leg_y.append(min(leg_y[-1] * 2.0, _MINUS_DEPTH))
-    leg, leg_est = path_cumulative(1.0 - 1j * np.array(leg_y), eps, side=1)
+    leg, leg_est = path_cumulative(1.0 - 1j * np.array(leg_y), eps)
     edge = {
         rule: {"xs": xs[rule], "wa": w[rule] * a, "il": np.asarray(int_l0(xs[rule], side=1))}
         for rule, a in ((8, amp8), (16, amp16))
@@ -835,6 +798,27 @@ def _lattice_terms(eps: float, t: float, offsets):
     return p, eps * ell, p1, phase_in, phase_out
 
 
+def _series_rows(eps: float, t: float, x_arr: np.ndarray, p) -> tuple[np.ndarray, np.ndarray]:
+    """`generating_series` at x_arr and, from the same pass, sum_l |Phi_l| / sqrt(pi)
+    per row and x: Phi_l is an outgoing wave times its phase past the edge, and
+    twice the phase inside the well, whose value adds two k-sums."""
+    offsets, shifts, p1, phase_in, phase_out = _lattice_terms(eps, t, p)
+    out = np.empty((p1.shape[0], x_arr.size), dtype=complex)
+    inside = x_arr <= 1.0 - eps * t
+    # sin(kx) = sin(px) cos(eps l x) + cos(px) sin(eps l x): the k-sums of all
+    # offsets are products with one pair of (lattice, x) matrices
+    px, lx = offsets * x_arr[inside], np.multiply.outer(shifts, x_arr[inside])
+    out[:, inside] = np.sin(px) * (phase_in @ np.cos(lx)) + np.cos(px) * (phase_in @ np.sin(lx))
+    sizes = np.empty(out.shape)
+    sizes[:, inside] = 2.0 * np.abs(phase_in).sum(axis=1)[:, None]
+    # past the edge one offset at a time, so the wave matrix stays (x, lattice) in size
+    for row, size, q, ph_out in zip(out, sizes, p1, phase_out):
+        wave = np.exp(1j * np.multiply.outer(x_arr[~inside], q))
+        row[~inside] = wave @ ph_out
+        size[~inside] = np.abs(wave) @ np.abs(ph_out)
+    return out / np.sqrt(np.pi), sizes / np.sqrt(np.pi)
+
+
 def generating_series(params: ModelParams, t: float, x, p) -> np.ndarray:
     """The exact lattice-sum solution Psi(x, t; p) for one offset p, or a row per offset.
 
@@ -842,22 +826,21 @@ def generating_series(params: ModelParams, t: float, x, p) -> np.ndarray:
     quadratic-in-k phases; outside it superposes the matched outgoing waves
     (`_lattice_terms` builds the terms of all offsets in one pass).
     """
-    eps = params.eps
-    edge = 1.0 - eps * t
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    offsets, shifts, p1, phase_in, phase_out = _lattice_terms(eps, t, p)
-    out = np.empty((p1.shape[0], x_arr.size), dtype=complex)
+    rows, _ = _series_rows(params.eps, t, np.atleast_1d(np.asarray(x, dtype=float)), p)
+    return rows[0] if np.ndim(p) == 0 else rows
 
-    inside = x_arr <= edge
-    # sin(kx) = sin(px) cos(eps l x) + cos(px) sin(eps l x): the k-sums of all
-    # offsets are products with one pair of (lattice, x) matrices
-    px, lx = offsets * x_arr[inside], np.multiply.outer(shifts, x_arr[inside])
-    out[:, inside] = np.sin(px) * (phase_in @ np.cos(lx)) + np.cos(px) * (phase_in @ np.sin(lx))
-    # past the edge one offset at a time, so the wave matrix stays (x, lattice) in size
-    for row, q, ph_out in zip(out, p1, phase_out):
-        row[~inside] = np.exp(1j * np.multiply.outer(x_arr[~inside], q)) @ ph_out
-    out /= np.sqrt(np.pi)
-    return out[0] if np.ndim(p) == 0 else out
+
+def _lattice_rule(eps: float, n: int, rule: int) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets and weights of sqrt(eps) times the n-th p-Fourier coefficient: one
+    `cusp_panels` panel of `rule` points, both ends mapped, per piece between cusps."""
+    # the cusps mod eps, on the circle: one within rounding of the next is dropped
+    cuts = np.sort(np.mod([1.0, -1.0, 1.0 + 0.5 * eps, -1.0 - 0.5 * eps], eps))
+    cuts = cuts[np.diff(cuts, append=cuts[0] + eps) > 1e-14]
+    ends = np.append(cuts, cuts[0] + eps)
+    pieces = [cusp_panels(ends[j:j + 2], rule, at_start=True, at_end=True)
+              for j in range(cuts.size)]
+    p, w = (np.concatenate(a, axis=None) for a in zip(*pieces))
+    return p, w * np.exp(-2j * np.pi * n * p / eps) / np.sqrt(eps)
 
 
 def fourier_mode(params: ModelParams, t: float, x) -> FieldSample:
@@ -868,27 +851,19 @@ def fourier_mode(params: ModelParams, t: float, x) -> FieldSample:
     factor, at p = +-1 and +-(1 + eps/2) mod eps.  One `cusp_panels` panel
     with both ends mapped on each piece of the period between them converges
     spectrally (Davis & Rabinowitz, sec. 2.12), where a midpoint rule
-    converges only algebraically.  Both levels of
-    _LATTICE_RULES come from one `generating_series` call; the finer gives
-    the value and their gap the bar.  No contour code is involved, so
+    converges only algebraically (`_lattice_rule`).  Both levels of
+    _LATTICE_RULES come from one `_series_rows` call; the finer gives the
+    value, and the bar is their gap plus its k-sums' rounding, 2^-52 sum_j
+    |w_j| sum_l |Phi_jl| / sqrt(pi).  No contour code is involved, so
     agreement with `mode_solution` validates both pipelines at once.
     """
     eps, n = params.eps, params.n
-    # the cusps mod eps, on the circle: one within rounding of the next is dropped
-    cuts = np.sort(np.mod([1.0, -1.0, 1.0 + 0.5 * eps, -1.0 - 0.5 * eps], eps))
-    cuts = cuts[np.diff(cuts, append=cuts[0] + eps) > 1e-14]
-    ends = np.append(cuts, cuts[0] + eps)
-    levels = []
-    for rule in _LATTICE_RULES:
-        pieces = [cusp_panels(ends[j:j + 2], rule, at_start=True, at_end=True)
-                  for j in range(cuts.size)]
-        p, w = (np.concatenate(a, axis=None) for a in zip(*pieces))
-        levels.append((p, w * np.exp(-2j * np.pi * n * p / eps) / np.sqrt(eps)))
-    (p_coarse, w_coarse), (p_fine, w_fine) = levels
-    rows = generating_series(params, t, x, np.concatenate([p_coarse, p_fine]))
-    coarse, fine = w_coarse @ rows[:p_coarse.size], w_fine @ rows[p_coarse.size:]
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    return FieldSample(x_arr, float(t), fine, np.abs(fine - coarse), "lattice")
+    (p_coarse, w_coarse), (p_fine, w_fine) = (_lattice_rule(eps, n, r) for r in _LATTICE_RULES)
+    rows, sizes = _series_rows(eps, t, x_arr, np.concatenate([p_coarse, p_fine]))
+    coarse, fine = w_coarse @ rows[:p_coarse.size], w_fine @ rows[p_coarse.size:]
+    rounding = np.finfo(float).eps * (np.abs(w_fine) @ sizes[p_coarse.size:])
+    return FieldSample(x_arr, float(t), fine, np.abs(fine - coarse) + rounding, "lattice")
 
 
 def interface_residuals(params: ModelParams, t: float, p: float) -> tuple[float, float]:

@@ -673,17 +673,17 @@ def test_sweep_estimate_bounds_its_error(eps):
         wfd.trace_steepest(1, tau, eps, xi=0.05) - 0.5 * eps,
     ]
     polylines = [
-        (sf._graded_route(np.concatenate([[0.0], v]), eps)[0], 0, True) for v in contours
+        (sf._graded_route(np.concatenate([[0.0], v]), eps)[0], True) for v in contours
     ]
     depths = [0.0, 1e-7]
     while depths[-1] < 12.0:
         depths.append(min(2.0 * depths[-1], 12.0))
-    polylines.append((1.0 - 1j * np.array(depths), 1, False))
+    polylines.append((1.0 - 1j * np.array(depths), False))
     for z in (0.999 + 0.001j, 1.0 - 0.001j, 1.05 + 0.01j, -0.99 - 0.02j):
-        polylines.append((sf._graded_route(np.array([0.0, z]), eps)[0], 0, False))
-    for pts, side, on_contour in polylines:
-        (_, _, cum), est = sf.path_cumulative(pts, eps, side)
-        (_, _, ref), _ = sf.path_cumulative(_cut_in(pts, 4), eps, side)
+        polylines.append((sf._graded_route(np.array([0.0, z]), eps)[0], False))
+    for pts, on_contour in polylines:
+        (_, _, cum), est = sf.path_cumulative(pts, eps)
+        (_, _, ref), _ = sf.path_cumulative(_cut_in(pts, 4), eps)
         assert np.max(np.abs(cum - ref[0::4])) <= est
         if on_contour:
             assert est <= sf._LADDER_EST

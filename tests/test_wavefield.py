@@ -137,16 +137,55 @@ def test_scalar_action_keeps_the_cut_rules():
 # ---------------------------------------------------------------------
 
 
-def test_trace_constant_real_part_and_rising_imag():
-    verts = wfd.trace_steepest(1, -2.0, 0.2)
-    ev = wfd.action(verts, 1, -2.0)
-    saddle = wfd.action(p_n(1, -2.0), 1, -2.0)
-    assert np.max(np.abs(ev.value.real - complex(saddle.value).real)) < 1e-9
-    # both ends must have climbed to the truncation level
-    level = 45.0 * 0.2
-    base = complex(saddle.value).imag
-    assert ev.value.imag[0] - base >= level - 1e-9
-    assert ev.value.imag[-1] - base >= level - 1e-9
+def _saddle_and_direction(n, tau, xi):
+    saddle = complex(p_n_tilde(n, tau, xi) if xi else p_n(n, tau))
+    d2 = complex(wfd.action(saddle, n, tau, xi=xi).d2)
+    return saddle, np.exp(1j * (0.25 * np.pi - 0.5 * np.angle(d2)))
+
+
+def _rises_from_the_saddle(verts, n, tau, eps, xi):
+    """Im S at the vertices and at the 16-point nodes, ordered along the line,
+    falls to the saddle and rises past it."""
+    saddle, direction = _saddle_and_direction(n, tau, xi)
+    pts = np.concatenate([verts, wfd._gl_nodes(verts, 16)[0]])
+    along = ((pts - saddle) * np.conj(direction)).real
+    order = np.argsort(along)
+    im_s = wfd.action(pts[order], n, tau, xi=xi).value.imag
+    k = int(np.flatnonzero(along[order] == 0.0)[0])  # the saddle
+    return np.all(np.diff(im_s[:k + 1]) < 0.0) and np.all(np.diff(im_s[k:]) > 0.0)
+
+
+@pytest.mark.parametrize("xi", [0.0, 2.0])  # arg S_pp is 0 inside, -0.25 at xi 2
+def test_trace_is_the_saddle_line_and_rises_from_the_saddle(xi):
+    n, tau, eps = 1, -2.0, 0.2
+    verts = wfd.trace_steepest(n, tau, eps, xi=xi)
+    saddle, direction = _saddle_and_direction(n, tau, xi)
+    # one straight line through the saddle, at the steepest-descent angle,
+    # run from the -direction end to the +direction end
+    along = (verts - saddle) * np.conj(direction)
+    assert saddle in verts
+    assert np.max(np.abs(along.imag)) <= 1e-15 * np.max(np.abs(along))
+    assert np.all(np.diff(along.real) > 0.0)
+    # Im S rises along both halves, and both ends reach the truncation level
+    assert _rises_from_the_saddle(verts, n, tau, eps, xi)
+    ev = wfd.action(verts, n, tau, xi=xi)
+    base = complex(wfd.action(saddle, n, tau, xi=xi).value).imag
+    level = 45.0 * eps
+    assert ev.value.imag[0] - base >= level
+    assert ev.value.imag[-1] - base >= level
+    assert ev.value.imag[1] - base < level and ev.value.imag[-2] - base < level
+
+
+def test_saddle_lines_rise_on_a_grid():
+    # every line of the grid stays clear of the cuts and Im S is monotone on
+    # each half at every vertex and 16-point node
+    for eps in (0.6, 0.2, 0.05, 0.0125):
+        for n in (1, 3):
+            for dt in (-6.0, -1.5, -0.3, -0.05):
+                tau = tau_threshold(n) + dt
+                for xi in (0.0, 0.5, 8.0):
+                    verts = wfd.trace_steepest(n, tau, eps, xi=xi)
+                    assert _rises_from_the_saddle(verts, n, tau, eps, xi), (eps, n, dt, xi)
 
 
 def test_trace_diverges_on_unreachable_level(monkeypatch):
@@ -155,10 +194,18 @@ def test_trace_diverges_on_unreachable_level(monkeypatch):
         wfd.trace_steepest(1, -2.0, 0.2)
 
 
+def test_ray_refuses_past_the_step_cap(monkeypatch):
+    # the ray shares the saddle line's stepper and so its step cap
+    assert wfd._ray_vertices(1, -2.0, 0.2).size > 2 * 8
+    monkeypatch.setattr(wfd, "_MAX_STEPS", 8)
+    with pytest.raises(TraceDiverged):
+        wfd._ray_vertices(1, -2.0, 0.2)
+
+
 @pytest.mark.parametrize("xi", [0.0, 0.05])
 def test_trace_work(monkeypatch, xi):
-    # the steps call no branch function, and each branch is checked against
-    # the cuts once, as one polyline from the saddle
+    # the stepper calls no branch function, and it checks the cuts once, on
+    # the whole line with the saddle in it
     counts = {}
     for name in ("l0", "int_l0", "l0_prime", "q0"):
         raw = getattr(wfd, name)
@@ -176,11 +223,12 @@ def test_trace_work(monkeypatch, xi):
         return meets(points)
 
     monkeypatch.setattr(wfd, "_meets_cut", recorded)
-    wfd.trace_steepest(1, -3.0, 0.1, xi=xi)
+    verts = wfd.trace_steepest(1, -3.0, 0.1, xi=xi)
     assert counts == {}
     saddle = p_n_tilde(1, -3.0, xi) if xi else p_n(1, -3.0)
-    assert len(polylines) == 2
-    assert all(line[0] == saddle for line in polylines)
+    assert len(polylines) == 1
+    assert np.array_equal(polylines[0], verts)
+    assert saddle in polylines[0]
     monkeypatch.setattr(wfd, "_meets_cut", lambda points: True)
     with pytest.raises(TraceDiverged):
         wfd.trace_steepest(1, -3.0, 0.1, xi=xi)
@@ -870,6 +918,24 @@ def test_lattice_bar_bounds_its_gap_to_the_contour(eps):
             gap = np.abs(lat.psi - contour.psi)
             assert np.all(gap <= lat.est_error + contour.est_error), (n, dt)
             assert np.max(lat.est_error) <= 1e-12 * np.max(np.abs(lat.psi)), (n, dt)
+
+
+@pytest.mark.parametrize("eps,dt", [(0.2, -1.5), (0.1, 0.0), (0.05, 0.5)])
+def test_lattice_bar_counts_the_k_sum_rounding(eps, dt):
+    # once both levels converge their gap is rounding noise, below the gap to a
+    # 64-point level at every x here; the bar adds the k-sum's rounding, so it
+    # covers its own level's rounding and, with the 64-point level's, that gap
+    tau = tau_threshold(1) + dt
+    t, xs = tau / eps, np.linspace(0.0, 1.0 - tau, 13)[1:]
+    lat = wfd.fourier_mode(ModelParams(eps=eps, n=1), t, xs)
+    levels = {}  # value and rounding term per rule
+    for rule in (40, 64):
+        p, w = wfd._lattice_rule(eps, 1, rule)
+        rows, sizes = wfd._series_rows(eps, t, xs, p)
+        levels[rule] = (w @ rows, np.finfo(float).eps * (np.abs(w) @ sizes))
+    np.testing.assert_array_equal(levels[40][0], lat.psi)
+    assert np.all(lat.est_error >= levels[40][1])
+    assert np.all(np.abs(lat.psi - levels[64][0]) <= lat.est_error + levels[64][1])
 
 
 def test_lattice_bar_far_outside_past_threshold():
