@@ -40,6 +40,9 @@ Three interchangeable evaluation contours are provided.
                steepest-descent direction.  Re S varies along it; Im S rises
                from the saddle along both halves, which a test checks over a
                grid of eps, n, tau and xi (it is not so by construction).
+               Its panels are sized for their 8- and 16-point rules: at most
+               0.7 local saddle widths and 4 rad of e^{iS/eps} each, about 33
+               vertices per line.
                Used while the saddle is well below the branch point p = 1.
 * ``gamma``    a hook through the branch point: down the vertical ray
                1 - i[0, Y] and out along the upper edge of the cut [1, oo).
@@ -51,8 +54,9 @@ Three interchangeable evaluation contours are provided.
                Its sine basis is summed in closed form from real matrices,
                e^{xy} on the leg and sin(px) on the edge (`_hook_sums`).
 * ``ray``      the fixed line e^{i pi/4} R, placed by the saddle line's
-               stepper.  Simple and saddle-free, but the integrand climbs to
-               e^{(pi n)^2/(2(1-tau) eps)} before it cancels, so it is only a
+               stepper at half its steps.  Simple and saddle-free, but the
+               integrand climbs to e^{(pi n)^2/(2(1-tau) eps)} before it
+               cancels, so it needs the finer panels and is only a
                cross-check at moderate eps.
 
 The automatic dispatch uses ``gamma`` once tau_n - tau <= 2 eps^{1/3} (the
@@ -135,8 +139,11 @@ __all__ = [
 # =====================================================================
 
 _DECAY_LEVEL = 45.0     # contours are truncated once Im S climbed this * eps
-_STEP_FRACTION = 0.35   # arc step as a fraction of the local saddle width
-_PHASE_PER_STEP = 2.0   # max radians of e^{iS/eps} per stored vertex
+# panel length on the saddle line, sized for its 8- and 16-point rules: at most
+# this fraction of the local saddle width and this many radians of e^{iS/eps}
+# (a full width doubles the largest exterior bar); the ray takes half of both
+_STEP_FRACTION = 0.7
+_PHASE_PER_STEP = 4.0
 _MAX_STEPS = 4000
 _TRACE_RADIUS = 30.0
 _GAMMA_SWITCH = 2.0     # hook contour once tau_n - tau <= this * eps^(1/3)
@@ -235,22 +242,27 @@ def action_identities(n: int, tau: float) -> tuple[float, float]:
 # =====================================================================
 
 
-def _local_step(ev: ActionEval, eps: float) -> float:
+def _local_step(ev: ActionEval, eps: float, stride: float = 1.0) -> float:
+    """Next panel length: stride times the width and phase terms, capped near
+    p = +-1, where |S'| / |S''| falls, and at 0.25."""
     width = math.sqrt(eps / abs(ev.d2))
     return min(
-        _STEP_FRACTION * width,
-        _PHASE_PER_STEP * eps / abs(ev.d1),
+        stride * _STEP_FRACTION * width,
+        stride * _PHASE_PER_STEP * eps / abs(ev.d1),
         0.5 * abs(ev.d1) / abs(ev.d2),
         0.25,
     )
 
 
-def _line_vertices(p0, direction, n: int, tau: float, eps: float, xi: float, step0) -> np.ndarray:
+def _line_vertices(
+    p0, direction, n: int, tau: float, eps: float, xi: float, step0, stride: float = 1.0
+) -> np.ndarray:
     """Vertices of the line p0 + direction * s, from its negative end.  Each half
     takes its first step from step0 (negative half first), later ones from
-    `_local_step`, and ends where Im S - Im S(p0) >= _DECAY_LEVEL * eps.  More
-    than _MAX_STEPS vertices, |p| > _TRACE_RADIUS, or a line that meets a cut
-    (one check of the whole polyline) raise TraceDiverged."""
+    `_local_step` at stride (1 on the saddle line, 0.5 on the ray), and ends
+    where Im S - Im S(p0) >= _DECAY_LEVEL * eps.  More than _MAX_STEPS
+    vertices, |p| > _TRACE_RADIUS, or a line that meets a cut (one check of the
+    whole polyline) raise TraceDiverged."""
     im0 = action(p0, n, tau, xi=xi).value.imag
     halves: list[list[complex]] = []
     for sgn, ds in zip((-1.0, 1.0), step0):
@@ -265,7 +277,7 @@ def _line_vertices(p0, direction, n: int, tau: float, eps: float, xi: float, ste
             if len(pts) > _MAX_STEPS or abs(pts[-1]) > _TRACE_RADIUS:
                 raise TraceDiverged(f"line contour did not reach the decay level "
                                     f"(|p|={abs(pts[-1]):.2f}, steps={len(pts)})")
-            ds = _local_step(ev, eps)
+            ds = _local_step(ev, eps, stride)
         halves.append(pts)
     line = np.array(halves[0][::-1] + [p0] + halves[1], dtype=complex)
     if _meets_cut(line):
@@ -281,7 +293,9 @@ def trace_steepest(n: int, tau: float, eps: float, xi: float = 0.0) -> np.ndarra
     Asymptotic Expansions of Integrals, 1975, ch. 7).  Every admissible contour
     gives the same value, so Re S may vary; Im S rises from the saddle on both
     halves by test, not by construction.  First step _STEP_FRACTION
-    sqrt(eps / |S_pp|) each way; a saddle on p = 1 raises ContinuationFailure.
+    sqrt(eps / |S_pp|) each way, later ones `_local_step`'s panel length, sized
+    for the 8- and 16-point rules and not for a tracer (the ray keeps half of it);
+    a saddle on p = 1 raises ContinuationFailure.
     """
     tau, xi = float(tau), float(xi)
     p0 = complex(p_n_tilde(n, tau, xi) if xi != 0.0 else p_n(n, tau))
@@ -296,10 +310,13 @@ def trace_steepest(n: int, tau: float, eps: float, xi: float = 0.0) -> np.ndarra
 
 
 def _ray_vertices(n: int, tau: float, eps: float) -> np.ndarray:
-    """Vertices along the fixed line e^{i pi/4} R, each half's first step taken just off 0."""
-    direction = np.exp(0.25j * np.pi)
-    step0 = [_local_step(action(sgn * direction * 1e-9, n, tau), eps) for sgn in (-1.0, 1.0)]
-    return _line_vertices(0j, direction, n, tau, eps, 0.0, step0)
+    """Vertices along the fixed line e^{i pi/4} R, each half's first step taken just
+    off 0.  Its steps are half the saddle line's: its integrand climbs to
+    e^{(pi n)^2 / (2 (1 - tau) eps)} before it cancels, so its panels must
+    resolve a sum far larger than its value."""
+    direction, stride = np.exp(0.25j * np.pi), 0.5
+    step0 = [_local_step(action(sgn * direction * 1e-9, n, tau), eps, stride) for sgn in (-1.0, 1.0)]
+    return _line_vertices(0j, direction, n, tau, eps, 0.0, step0, stride)
 
 
 # =====================================================================
@@ -799,12 +816,16 @@ def _lattice_terms(eps: float, t: float, offsets):
 
 
 def _series_rows(eps: float, t: float, x_arr: np.ndarray, p) -> tuple[np.ndarray, np.ndarray]:
-    """`generating_series` at x_arr and, from the same pass, sum_l |Phi_l| / sqrt(pi)
-    per row and x: Phi_l is an outgoing wave times its phase past the edge, and
-    twice the phase inside the well, whose value adds two k-sums."""
+    """`generating_series` at x_arr and, from the same pass, the size of its terms
+    per row and x, sum_l |Phi_l| c_l / sqrt(pi).  Inside the well Phi_l is twice
+    the phase, whose value adds two k-sums, and c_l = 1.  Past the edge Phi_l is
+    an outgoing wave times its phase, a product of exponentials whose arguments
+    round with them, and c_l = 1 + |p1_l|^2 edge / eps + |p1_l| x."""
     offsets, shifts, p1, phase_in, phase_out = _lattice_terms(eps, t, p)
     out = np.empty((p1.shape[0], x_arr.size), dtype=complex)
-    inside = x_arr <= 1.0 - eps * t
+    edge = 1.0 - eps * t
+    inside = x_arr <= edge
+    x_out = x_arr[~inside]
     # sin(kx) = sin(px) cos(eps l x) + cos(px) sin(eps l x): the k-sums of all
     # offsets are products with one pair of (lattice, x) matrices
     px, lx = offsets * x_arr[inside], np.multiply.outer(shifts, x_arr[inside])
@@ -813,9 +834,10 @@ def _series_rows(eps: float, t: float, x_arr: np.ndarray, p) -> tuple[np.ndarray
     sizes[:, inside] = 2.0 * np.abs(phase_in).sum(axis=1)[:, None]
     # past the edge one offset at a time, so the wave matrix stays (x, lattice) in size
     for row, size, q, ph_out in zip(out, sizes, p1, phase_out):
-        wave = np.exp(1j * np.multiply.outer(x_arr[~inside], q))
+        wave = np.exp(1j * np.multiply.outer(x_out, q))
         row[~inside] = wave @ ph_out
-        size[~inside] = np.abs(wave) @ np.abs(ph_out)
+        mag, term, k1 = np.abs(wave), np.abs(ph_out), np.abs(q)
+        size[~inside] = mag @ (term * (1.0 + k1**2 * edge / eps)) + x_out * (mag @ (term * k1))
     return out / np.sqrt(np.pi), sizes / np.sqrt(np.pi)
 
 
@@ -854,7 +876,8 @@ def fourier_mode(params: ModelParams, t: float, x) -> FieldSample:
     converges only algebraically (`_lattice_rule`).  Both levels of
     _LATTICE_RULES come from one `_series_rows` call; the finer gives the
     value, and the bar is their gap plus its k-sums' rounding, 2^-52 sum_j
-    |w_j| sum_l |Phi_jl| / sqrt(pi).  No contour code is involved, so
+    |w_j| sum_l |Phi_jl| c_jl / sqrt(pi) (`_series_rows`; past the edge c_jl
+    counts the rounding of each term's exponents).  No contour code is involved, so
     agreement with `mode_solution` validates both pipelines at once.
     """
     eps, n = params.eps, params.n

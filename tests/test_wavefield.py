@@ -205,7 +205,8 @@ def test_ray_refuses_past_the_step_cap(monkeypatch):
 @pytest.mark.parametrize("xi", [0.0, 0.05])
 def test_trace_work(monkeypatch, xi):
     # the stepper calls no branch function, and it checks the cuts once, on
-    # the whole line with the saddle in it
+    # the whole line with the saddle in it; the ray keeps the finer steps
+    assert wfd._ray_vertices(1, -2.0, 0.2).size == 74
     counts = {}
     for name in ("l0", "int_l0", "l0_prime", "q0"):
         raw = getattr(wfd, name)
@@ -225,6 +226,8 @@ def test_trace_work(monkeypatch, xi):
     monkeypatch.setattr(wfd, "_meets_cut", recorded)
     verts = wfd.trace_steepest(1, -3.0, 0.1, xi=xi)
     assert counts == {}
+    # panels sized for the 8- and 16-point rules (65 vertices at half length)
+    assert verts.size <= 35
     saddle = p_n_tilde(1, -3.0, xi) if xi else p_n(1, -3.0)
     assert len(polylines) == 1
     assert np.array_equal(polylines[0], verts)
@@ -258,6 +261,29 @@ def test_sd_and_ray_agree():
     sd = wfd.mode_inside(P02, -10.0, xs, method="sd")
     ray = wfd.mode_inside(P02, -10.0, xs, method="ray")
     assert np.max(np.abs(sd.psi - ray.psi)) < 1e-10
+
+
+def test_saddle_line_panels_reach_rounding(monkeypatch):
+    # the saddle line's panels are sized for its 8- and 16-point rules: inside
+    # the well and on one exterior band, the value against the lattice route and
+    # the 8-vs-16 point gap alone (the amplitude's floor set to 0) stay at
+    # rounding level, relative to max|psi| in the well
+    along = sf.amplitude_along
+    monkeypatch.setattr(wfd, "amplitude_along", lambda verts, eps: (along(verts, eps)[0], 0.0))
+    cases = [(eps, n, dt, False) for eps in (0.2, 0.05, 0.0125) for n in (1, 3)
+             for dt in (-3.0, -1.2)]
+    cases += [(eps, n, -1.2, True) for eps in (0.2, 0.1) for n in (1, 3)]
+    for eps, n, dt, outside in cases:
+        params = ModelParams(eps=eps, n=n)
+        tau = tau_threshold(n) + dt
+        t, edge = tau / eps, 1.0 - tau
+        x_in = np.linspace(0.0, edge, 41)[1:]
+        xs = edge + np.linspace(0.0, 2.0, 9) if outside else x_in
+        lat = wfd.fourier_mode(params, t, np.concatenate([x_in, xs]))
+        scale = np.max(np.abs(lat.psi[:x_in.size]))
+        got = wfd.mode_outside(params, t, xs) if outside else wfd.mode_inside(params, t, xs, "sd")
+        assert np.max(np.abs(got.psi - lat.psi[x_in.size:])) <= 1e-13 * scale, (eps, n, dt)
+        assert np.max(got.est_error) <= 1e-13 * scale, (eps, n, dt)
 
 
 @pytest.mark.parametrize("delta", [0.45, 0.2])
@@ -751,7 +777,8 @@ def test_amplitude_work_per_contour(monkeypatch):
     # relocation sum evaluate them; a count does not depend on the speed of
     # the machine.  At eps 0.1 every anchor is carried onto the moment
     # series, so no ladder point is left (27.3k and 33.1k when anchors near
-    # the cuts took the ladder); the carrying costs 4.3k and 5.2k steps
+    # the cuts took the ladder); the carrying costs 2,480 and 3,604 steps on
+    # the saddle line's panels (3,125 and 3,982 at half their length)
     points, steps = [0], [0]
     raw, prime = sf._l0_raw, sf.l0_prime
 
@@ -768,11 +795,11 @@ def test_amplitude_work_per_contour(monkeypatch):
     t = -12.0  # eps = 0.1, n = 1, edge at 2.2
     wfd.mode_outside(P01, t, np.array([2.7]))
     assert points[0] == 0
-    assert steps[0] <= 5_400
+    assert steps[0] <= 2_750
     steps[0] = 0
     wfd.mode_inside(P01, t, np.linspace(0.0, 2.2, 200), method="sd")
     assert points[0] == 0
-    assert steps[0] <= 6_500
+    assert steps[0] <= 3_950
 
 
 # ---------------------------------------------------------------------
@@ -920,22 +947,36 @@ def test_lattice_bar_bounds_its_gap_to_the_contour(eps):
             assert np.max(lat.est_error) <= 1e-12 * np.max(np.abs(lat.psi)), (n, dt)
 
 
-@pytest.mark.parametrize("eps,dt", [(0.2, -1.5), (0.1, 0.0), (0.05, 0.5)])
-def test_lattice_bar_counts_the_k_sum_rounding(eps, dt):
-    # once both levels converge their gap is rounding noise, below the gap to a
-    # 64-point level at every x here; the bar adds the k-sum's rounding, so it
-    # covers its own level's rounding and, with the 64-point level's, that gap
-    tau = tau_threshold(1) + dt
-    t, xs = tau / eps, np.linspace(0.0, 1.0 - tau, 13)[1:]
-    lat = wfd.fourier_mode(ModelParams(eps=eps, n=1), t, xs)
+def _assert_lattice_bar_counts_its_rounding(eps, n, tau, xs):
+    """The bar covers its own level's rounding term and, with the 64-point
+    level's, the gap to that level."""
+    t = tau / eps
+    lat = wfd.fourier_mode(ModelParams(eps=eps, n=n), t, xs)
     levels = {}  # value and rounding term per rule
     for rule in (40, 64):
-        p, w = wfd._lattice_rule(eps, 1, rule)
+        p, w = wfd._lattice_rule(eps, n, rule)
         rows, sizes = wfd._series_rows(eps, t, xs, p)
         levels[rule] = (w @ rows, np.finfo(float).eps * (np.abs(w) @ sizes))
     np.testing.assert_array_equal(levels[40][0], lat.psi)
     assert np.all(lat.est_error >= levels[40][1])
     assert np.all(np.abs(lat.psi - levels[64][0]) <= lat.est_error + levels[64][1])
+
+
+@pytest.mark.parametrize("eps,dt", [(0.2, -1.5), (0.1, 0.0), (0.05, 0.5)])
+def test_lattice_bar_counts_the_k_sum_rounding(eps, dt):
+    # once both levels converge their gap is rounding noise, below the gap to a
+    # 64-point level at every x here; the bar adds the k-sum's rounding
+    tau = tau_threshold(1) + dt
+    _assert_lattice_bar_counts_its_rounding(eps, 1, tau, np.linspace(0.0, 1.0 - tau, 13)[1:])
+
+
+@pytest.mark.parametrize("eps,n,dt", [(0.2, 1, 0.0), (0.2, 3, 1.0), (0.05, 3, 1.0)])
+def test_lattice_bar_counts_the_exponents_past_the_edge(eps, n, dt):
+    # past the edge each term is a product of exponentials whose arguments,
+    # |p1|^2 edge / eps and |p1| x, grow with |k|; counting 2^-52 per term
+    # alone left the bar short of the 64-point gap here by up to 2.5x
+    tau = tau_threshold(n) + dt
+    _assert_lattice_bar_counts_its_rounding(eps, n, tau, 1.0 - tau + np.array([0.5, 2.0, 8.0]))
 
 
 def test_lattice_bar_far_outside_past_threshold():
